@@ -125,6 +125,22 @@ pub enum SupportMeasure {
     Transactions,
 }
 
+impl SupportMeasure {
+    /// True when a pattern's support never exceeds the support of any of its
+    /// sub-patterns under this measure, so every sub-pattern of a frequent
+    /// pattern is frequent too.
+    ///
+    /// [`SupportMeasure::MinimumImage`] and [`SupportMeasure::Transactions`]
+    /// are anti-monotone.  [`SupportMeasure::EmbeddingCount`] and
+    /// [`SupportMeasure::DistinctVertexSets`] are not: a super-pattern can
+    /// have more embeddings or vertex sets than its parts.  In a one-label
+    /// K₆, for instance, the triangle has 20 vertex sets while the edge it
+    /// contains has only 15.
+    pub fn is_anti_monotone(self) -> bool {
+        matches!(self, SupportMeasure::MinimumImage | SupportMeasure::Transactions)
+    }
+}
+
 /// The embeddings of one pattern, together with support computation.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EmbeddingSet {

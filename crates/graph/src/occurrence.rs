@@ -383,6 +383,25 @@ impl OccurrenceStore {
         });
     }
 
+    /// Puts the rows into ascending `(transaction, vertex sequence)` order
+    /// and removes exact duplicates, so the result depends only on the set
+    /// of rows and not on the order they were pushed in.
+    pub fn sort_dedup_with(&mut self, scratch: &mut SupportScratch) {
+        let arity = self.arity;
+        let rows = &mut scratch.rows;
+        rows.clear();
+        rows.extend(0..self.len() as u32);
+        let row_of = |i: u32| &self.arena[i as usize * arity..(i as usize + 1) * arity];
+        let key = |i: u32| (self.transactions[i as usize], row_of(i));
+        rows.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+        rows.dedup_by(|b, a| key(*a) == key(*b));
+        let mut sorted = OccurrenceStore::with_capacity(arity, rows.len());
+        for &i in rows.iter() {
+            sorted.push_row(self.transactions[i as usize] as usize, row_of(i));
+        }
+        *self = sorted;
+    }
+
     /// Number of distinct `(transaction, vertex set)` images.
     pub fn distinct_vertex_sets(&self) -> usize {
         self.distinct_vertex_sets_with(&mut SupportScratch::new())

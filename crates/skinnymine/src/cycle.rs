@@ -7,16 +7,37 @@
 //! constraint for `δ >= 1` (e.g. C₅ for `l = 2`), and Stage II can never
 //! reach it by growing a path seed: each intermediate would violate the
 //! canonical-diameter invariant.  Definition-8 completeness on adversarial
-//! inputs therefore needs these cycles seeded directly, which
-//! [`DiamMine::frequent_cycles`](crate::diam_mine::DiamMine::frequent_cycles)
-//! derives from the frequent paths of length `2l` by a closing-edge check.
+//! inputs therefore needs these cycles seeded directly.
+//!
+//! Stage I derives them on one of two routes.  Both feed one shared
+//! accumulator that sorts rows and patterns canonically, so both produce
+//! the same bytes:
+//!
+//! * **arcs** — [`DiamMine::cycles_from_arcs`](crate::diam_mine::DiamMine::cycles_from_arcs)
+//!   pairs the already-mined length-`l` paths.  Every occurrence splits at
+//!   its minimum vertex into two `l`-arcs that start there, share nothing
+//!   else, and whose far ends are joined by the closing edge.  Both arcs are
+//!   sub-patterns of the cycle, so under an anti-monotone measure they are
+//!   frequent whenever the cycle is; this is the route the miner takes for
+//!   [`SupportMeasure::MinimumImage`] and [`SupportMeasure::Transactions`].
+//! * **`2l`-paths** — [`DiamMine::cycles_from_paths`](crate::diam_mine::DiamMine::cycles_from_paths)
+//!   checks which frequent length-`2l` paths close into a cycle.  The
+//!   minimal-pattern index uses it (it stores those paths anyway), the
+//!   miner falls back to it for measures that are not anti-monotone, and
+//!   [`DiamMine::frequent_cycles`](crate::diam_mine::DiamMine::frequent_cycles)
+//!   keeps it as the test oracle.
 //!
 //! A labeled cycle has `2m` symmetries (`m` rotations × 2 directions);
 //! [`CyclePattern::canonicalize`] quotients them out so each undirected cycle
-//! occurrence is stored exactly once under one canonical key.
+//! occurrence is stored exactly once under one canonical key, and
+//! [`CyclePattern::dedup`] puts the rows in one canonical order whatever the
+//! discovery order was.
 
 use serde::{Deserialize, Serialize};
-use skinny_graph::{GraphView, Label, LabeledGraph, OccurrenceStore, SupportMeasure, VertexId};
+use skinny_graph::{
+    GraphView, Label, LabeledGraph, OccurrenceStore, SupportMeasure, SupportScratch, VertexId,
+};
+use std::collections::HashMap;
 
 /// The canonical identity of a labeled cycle: vertex labels in cyclic order
 /// plus edge labels, minimized over all rotations and reflections.
@@ -102,11 +123,14 @@ impl CyclePattern {
         self.embeddings.push_row(t, vertices);
     }
 
-    /// Removes exact duplicate occurrences.  The same undirected cycle is
-    /// discovered once per length-`2l` sub-path (there are `2l + 1` of them),
-    /// and canonicalization maps all of those discoveries to the same row.
+    /// Sorts the occurrences into `(transaction, canonical vertices)` order
+    /// and removes exact duplicates.  The `2l`-path route discovers the same
+    /// undirected cycle once per length-`2l` sub-path (there are `2l + 1` of
+    /// them) and canonicalization maps all of those discoveries to one row;
+    /// the sort makes the stored rows independent of discovery order, so
+    /// every route yields the same bytes.
     pub fn dedup(&mut self) {
-        self.embeddings.dedup_exact();
+        self.embeddings.sort_dedup_with(&mut SupportScratch::new());
     }
 
     /// Canonicalizes one cycle occurrence given as a directed *path* vertex
@@ -181,6 +205,70 @@ impl CyclePattern {
     }
 }
 
+/// The accumulator every cycle route feeds: canonicalized occurrences are
+/// routed to their pattern by the cheap [`CycleKey::fingerprint`], full keys
+/// are compared only inside a fingerprint bucket, and
+/// [`CycleTable::finish`] puts rows and patterns into canonical order before
+/// the σ-filter.  Output therefore depends only on the set of occurrences
+/// pushed, never on the order or the shard they arrived from.
+#[derive(Debug, Default)]
+pub(crate) struct CycleTable {
+    patterns: Vec<CyclePattern>,
+    by_fp: HashMap<u64, Vec<u32>>,
+}
+
+impl CycleTable {
+    /// The pattern slot of `key`, created empty on first sight.
+    fn slot(&mut self, key: CycleKey) -> &mut CyclePattern {
+        let patterns = &mut self.patterns;
+        let bucket = self.by_fp.entry(key.fingerprint()).or_default();
+        let idx = match bucket.iter().copied().find(|&i| patterns[i as usize].key == key) {
+            Some(i) => i,
+            None => {
+                let i = patterns.len() as u32;
+                patterns.push(CyclePattern::new(key));
+                bucket.push(i);
+                i
+            }
+        };
+        &mut patterns[idx as usize]
+    }
+
+    /// Adds one canonicalized occurrence (as produced by
+    /// [`CyclePattern::canonicalize`]).
+    pub(crate) fn push(&mut self, key: CycleKey, t: usize, vertices: &[VertexId]) {
+        self.slot(key).push_occurrence(t, vertices);
+    }
+
+    /// Moves every occurrence of `other` into this table (the merge of
+    /// per-shard partial tables).
+    pub(crate) fn merge(&mut self, other: CycleTable) {
+        for p in other.patterns {
+            self.slot(p.key).embeddings.append(p.embeddings);
+        }
+    }
+
+    /// Sorts and deduplicates each pattern's rows, keeps the patterns whose
+    /// support reaches `sigma` (rejecting on the row count before any sort,
+    /// then through the σ-pruned evaluator), and returns them key-sorted.
+    pub(crate) fn finish(self, measure: SupportMeasure, sigma: usize) -> Vec<CyclePattern> {
+        let mut scratch = SupportScratch::new();
+        let mut out: Vec<CyclePattern> = self
+            .patterns
+            .into_iter()
+            .filter_map(|mut c| {
+                if c.embeddings.len() < sigma {
+                    return None;
+                }
+                c.embeddings.sort_dedup_with(&mut scratch);
+                (c.embeddings.support_pruned(measure, sigma, &mut scratch) >= sigma).then_some(c)
+            })
+            .collect();
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +340,41 @@ mod tests {
         assert_eq!(p.cycle_len(), 5);
         assert_eq!(p.diameter_len(), 2);
         assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 1);
+    }
+
+    #[test]
+    fn discovery_order_does_not_change_the_pattern() {
+        // two all-equal-label pentagons, each discovered once per symmetry
+        let mut edges = Vec::new();
+        for base in [0u32, 5] {
+            edges.extend((0..5).map(|i| (base + i, base + (i + 1) % 5)));
+        }
+        let g = LabeledGraph::from_unlabeled_edges(&[l(7); 10], edges).unwrap();
+        let mut discoveries: Vec<Vec<VertexId>> = Vec::new();
+        for base in [0isize, 5] {
+            for rot in 0..5isize {
+                for dir in [1isize, -1] {
+                    discoveries.push(
+                        (0..5).map(|j| VertexId((base + (rot + dir * j).rem_euclid(5)) as u32)).collect(),
+                    );
+                }
+            }
+        }
+        let accumulate = |order: &mut dyn Iterator<Item = &Vec<VertexId>>| {
+            let mut table = CycleTable::default();
+            for path in order {
+                let (key, verts) = CyclePattern::canonicalize(&g, path, Label::DEFAULT_EDGE);
+                table.push(key, 0, &verts);
+            }
+            table.finish(SupportMeasure::MinimumImage, 1)
+        };
+        let forward = accumulate(&mut discoveries.iter());
+        let backward = accumulate(&mut discoveries.iter().rev());
+        assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
+        assert_eq!(forward.len(), 1);
+        // one row per pentagon, in ascending vertex order
+        assert_eq!(forward[0].embeddings.len(), 2);
+        assert!(forward[0].embeddings.row(0) < forward[0].embeddings.row(1));
     }
 
     #[test]

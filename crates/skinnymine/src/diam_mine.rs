@@ -22,9 +22,11 @@
 //! stored path straight out of a flat columnar arena without
 //! cloning vertex vectors.
 //!
-//! Beyond paths, [`DiamMine::frequent_cycles`] seeds the frequent odd cycles
-//! `C_{2l+1}` — the minimal *non-path* constraint-satisfying patterns that
-//! Stage II cannot reach from path seeds (e.g. C₅ for `l = 2`).
+//! Beyond paths, Stage I seeds the frequent odd cycles `C_{2l+1}` — the
+//! minimal *non-path* constraint-satisfying patterns that Stage II cannot
+//! reach from path seeds (e.g. C₅ for `l = 2`).  [`DiamMine::cycles_from_arcs`]
+//! pairs the mined `l`-paths into cycles; [`DiamMine::cycles_from_paths`]
+//! closes mined `2l`-paths instead (see [`crate::cycle`] for when each runs).
 //!
 //! The ladder joins run on three raw-speed kernels (mirroring the grow
 //! engine's):
@@ -51,7 +53,7 @@
 //! ([`DiamMine::concat_double_reference`] /
 //! [`DiamMine::merge_to_length_reference`]) for every thread count.
 
-use crate::cycle::CyclePattern;
+use crate::cycle::{CyclePattern, CycleTable};
 use crate::data::MiningData;
 use crate::level_grow::phase_ticks;
 use crate::path_pattern::{PathKey, PathPattern, PatternTable};
@@ -771,10 +773,9 @@ impl<'a> DiamMine<'a> {
     /// sequentially with one accumulator table when `threads == 1`, or on
     /// the work-stealing pool over contiguous row chunks otherwise (the
     /// sharded ladder level: each chunk of the base rows accumulates its own
-    /// [`PatternTable`] plus phase breakdown).  Every worker reuses one
-    /// [`JoinScratch`] across all the chunks it executes or steals; the body
-    /// resets the pattern-pair memo per chunk because memoized slot indices
-    /// are local to the chunk's table.
+    /// [`PatternTable`] plus phase breakdown).  The body resets the
+    /// pattern-pair memo per chunk because memoized slot indices are local to
+    /// the chunk's table.
     ///
     /// The per-chunk partial tables are merged **in chunk order**, so every
     /// pattern's occurrence list ends up in the exact order the sequential
@@ -785,23 +786,9 @@ impl<'a> DiamMine<'a> {
     where
         F: Fn(std::ops::Range<usize>, &mut PatternTable, &mut JoinScratch) -> JoinPhaseStats + Sync,
     {
-        // Parallelism only pays once there is real join work per chunk: the
-        // pool spawns scoped workers per run (~half a millisecond at 8
-        // workers), and a few-thousand-row join finishes faster than that
-        // sequentially — measured on the incremental-maintenance corpora,
-        // where small per-refresh ladders at 8 threads spent more time
-        // spawning workers than joining.
-        const MIN_PARALLEL_OCCS: usize = 4096;
-        if self.threads <= 1 || rows < MIN_PARALLEL_OCCS {
-            let mut table = PatternTable::new();
-            let mut scratch = JoinScratch::new();
-            let phases = body(0..rows, &mut table, &mut scratch);
-            return (table, phases);
-        }
-        let ranges = skinny_pool::chunk_ranges(rows, self.threads, 4);
-        let partials = skinny_pool::run_with(self.threads, ranges.len(), JoinScratch::new, |scratch, c| {
+        let partials = self.shard_rows(rows, |range, scratch| {
             let mut local = PatternTable::new();
-            let phases = body(ranges[c].clone(), &mut local, scratch);
+            let phases = body(range, &mut local, scratch);
             (local, phases)
         });
         let mut merged = PatternTable::new();
@@ -811,6 +798,32 @@ impl<'a> DiamMine<'a> {
             phases.merge(&chunk_phases);
         }
         (merged, phases)
+    }
+
+    /// Runs `body` over all `rows` probing rows and returns the per-chunk
+    /// outputs in chunk order: one chunk when `threads == 1` or the join is
+    /// small, contiguous row chunks on the work-stealing pool otherwise.
+    /// Every worker reuses one [`JoinScratch`] across all the chunks it
+    /// executes or steals.
+    fn shard_rows<T, F>(&self, rows: usize, body: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(std::ops::Range<usize>, &mut JoinScratch) -> T + Sync,
+    {
+        // Parallelism only pays once there is real join work per chunk: the
+        // pool spawns scoped workers per run (~half a millisecond at 8
+        // workers), and a few-thousand-row join finishes faster than that
+        // sequentially — measured on the incremental-maintenance corpora,
+        // where small per-refresh ladders at 8 threads spent more time
+        // spawning workers than joining.
+        const MIN_PARALLEL_OCCS: usize = 4096;
+        if self.threads <= 1 || rows < MIN_PARALLEL_OCCS {
+            return vec![body(0..rows, &mut JoinScratch::new())];
+        }
+        let ranges = skinny_pool::chunk_ranges(rows, self.threads, 4);
+        skinny_pool::run_with(self.threads, ranges.len(), JoinScratch::new, |scratch, c| {
+            body(ranges[c].clone(), scratch)
+        })
     }
 
     /// Extends a carried ladder (`levels[i]` = frequent paths of length
@@ -893,8 +906,7 @@ impl<'a> DiamMine<'a> {
     /// [`DiamMine::mine_exact`] for several lengths at once, sharing one
     /// carried power-of-two doubling ladder across all of them instead of
     /// rebuilding it per length (the ladder up to `2^k <= max(lengths)`
-    /// dominates the cost when the lengths are close together, as in cycle
-    /// seeding).
+    /// dominates the cost when the lengths are close together).
     pub fn mine_exact_many(&self, lengths: &[usize]) -> BTreeMap<usize, Vec<PathPattern>> {
         self.mine_exact_many_with_stats(lengths, &mut MiningStats::default())
     }
@@ -923,9 +935,13 @@ impl<'a> DiamMine<'a> {
     /// reduction violates the constraint, so Definition-8 completeness needs
     /// these as Stage-II seeds).
     ///
-    /// A `C_{2l+1}` occurrence is a frequent path of length `2l` whose
-    /// endpoints are adjacent in the data, so the cycles are derived from
-    /// [`DiamMine::mine_exact`]`(2l)` by a closing-edge check per occurrence.
+    /// This is the **oracle** route: it mines every frequent path of length
+    /// `2l` with a ladder of its own and keeps the occurrences whose
+    /// endpoints are adjacent ([`DiamMine::cycles_from_paths`]).  It relies
+    /// on the cycle's `2l`-sub-paths being frequent rather than its
+    /// `l`-arcs, and pays for the whole `2l` ladder to do so.  The miner
+    /// seeds from [`DiamMine::cycles_from_arcs`] under anti-monotone
+    /// measures; the property tests hold the two routes byte-identical.
     pub fn frequent_cycles(&self, l: usize) -> Vec<CyclePattern> {
         if l == 0 {
             return Vec::new();
@@ -935,17 +951,16 @@ impl<'a> DiamMine<'a> {
     }
 
     /// Derives the frequent `C_{2l+1}` cycles from an already-mined set of
-    /// frequent paths of length `2l` (used by the minimal-pattern index,
-    /// which has those paths stored).
+    /// frequent paths of length `2l`: an occurrence closes into a cycle when
+    /// its endpoints are adjacent in its transaction.
+    ///
+    /// This is the **index** route.  The minimal-pattern index stores the
+    /// `2l`-paths anyway, so the closing check is all it pays.  The miner
+    /// also takes it for measures that are not anti-monotone, and it backs
+    /// the [`DiamMine::frequent_cycles`] oracle.  Rows and patterns come out
+    /// in the same canonical order as [`DiamMine::cycles_from_arcs`].
     pub fn cycles_from_paths(&self, paths_2l: &[PathPattern], l: usize) -> Vec<CyclePattern> {
-        // accumulation runs on the cycle-key fingerprint funnel: occurrences
-        // are routed by the cheap 64-bit key fingerprint and the full key is
-        // compared only inside a bucket, so the hot per-occurrence path
-        // neither clones the key nor walks a `BTreeMap` (the output is
-        // key-sorted once at the end, which restores the exact order the
-        // previous ordered-map accumulation produced)
-        let mut patterns: Vec<CyclePattern> = Vec::new();
-        let mut by_fp: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut table = CycleTable::default();
         for p in paths_2l {
             debug_assert_eq!(p.len(), 2 * l, "cycle seeds need paths of length 2l");
             for occ in p.embeddings.iter() {
@@ -955,29 +970,83 @@ impl<'a> DiamMine<'a> {
                 let tail = *occ.vertices.last().expect("path occurrence is nonempty");
                 let Some(closing) = view.edge_label(head, tail) else { continue };
                 let (key, canonical_vertices) = CyclePattern::canonicalize(&view, occ.vertices, closing);
-                let bucket = by_fp.entry(key.fingerprint()).or_default();
-                let idx = match bucket.iter().copied().find(|&i| patterns[i as usize].key == key) {
-                    Some(i) => i,
-                    None => {
-                        let i = patterns.len() as u32;
-                        patterns.push(CyclePattern::new(key));
-                        bucket.push(i);
-                        i
-                    }
-                };
-                patterns[idx as usize].push_occurrence(t, &canonical_vertices);
+                table.push(key, t, &canonical_vertices);
             }
         }
-        let mut out: Vec<CyclePattern> = patterns
-            .into_iter()
-            .map(|mut c| {
-                c.dedup();
-                c
-            })
-            .filter(|c| c.support(self.support) >= self.sigma)
-            .collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
+        table.finish(self.support, self.sigma)
+    }
+
+    /// Derives the frequent `C_{2l+1}` cycles from the frequent paths of
+    /// length `l` — the **arc** route, which needs no path longer than `l`.
+    ///
+    /// Every `C_{2l+1}` occurrence splits at its minimum vertex `v` into two
+    /// `l`-arcs that start at `v`, share no other vertex, and whose far ends
+    /// are joined by the closing data edge.  The kernel builds the prefix-1
+    /// index over `(transaction, head)` of both orientations of every
+    /// `l`-path occurrence, keeps only the directed rows whose head is the
+    /// row's minimum vertex, and pairs rows `i < j` of the same posting
+    /// list, so each cycle occurrence is produced exactly once.  A pair pays
+    /// the closing-edge lookup first, then the epoch-marked disjointness
+    /// check, then canonicalization; the shared accumulator σ-filters.
+    /// Chunks of the probing rows run on the pool as in the ladder joins.
+    ///
+    /// Complete only under an **anti-monotone** measure
+    /// ([`SupportMeasure::is_anti_monotone`]): both arcs are sub-patterns of
+    /// the cycle, so the cycle being frequent makes both arc patterns
+    /// frequent, and `paths_l` then holds every occurrence of them.  For any
+    /// such measure the result is byte-identical to
+    /// [`DiamMine::cycles_from_paths`] over the `2l`-paths.
+    pub fn cycles_from_arcs(&self, paths_l: &[PathPattern], l: usize) -> Vec<CyclePattern> {
+        if paths_l.is_empty() || l == 0 {
+            return Vec::new();
+        }
+        debug_assert!(paths_l.iter().all(|p| p.len() == l), "cycle arcs need paths of length l");
+        let mut arenas = LevelArenas::default();
+        arenas.rebuild(paths_l, 1);
+        let (occs, index) = (&arenas.occs, &arenas.index);
+        // a directed row can be an arc only when its head is its minimum
+        let apex_row = |i: usize| {
+            let row = occs.row(i);
+            row[1..].iter().all(|&v| v > row[0])
+        };
+        let partials = self.shard_rows(occs.len(), |range, scratch| {
+            let mut table = CycleTable::default();
+            for i in range {
+                if !apex_row(i) {
+                    continue;
+                }
+                let a = occs.row(i);
+                let t = occs.transaction(i);
+                let view = self.data.view(t);
+                let postings = index.postings(occs, t, &a[..1]);
+                // posting lists keep global row order: only partners after i
+                let later = &postings[postings.partition_point(|&j| j as usize <= i)..];
+                for &j in later {
+                    let j = j as usize;
+                    if !apex_row(j) {
+                        continue;
+                    }
+                    let b = occs.row(j);
+                    let Some(closing) = view.edge_label(a[l], b[l]) else { continue };
+                    // the cycle as a path b[l] .. b[1], v, a[1] .. a[l] whose
+                    // endpoints the closing edge joins
+                    scratch.row.clear();
+                    scratch.row.extend(b[1..].iter().rev());
+                    scratch.row.extend_from_slice(a);
+                    if !all_distinct_marked(&scratch.row, &mut scratch.marks) {
+                        continue;
+                    }
+                    let (key, vertices) = CyclePattern::canonicalize(&view, &scratch.row, closing);
+                    table.push(key, t, &vertices);
+                }
+            }
+            table
+        });
+        let mut table = CycleTable::default();
+        for partial in partials {
+            table.merge(partial);
+        }
+        table.finish(self.support, self.sigma)
     }
 
     /// All frequent simple paths for every length in `[lo, hi]`

@@ -244,6 +244,13 @@ impl SkinnyMine {
     /// cannot reach.  `level1` optionally injects a pre-computed finalized
     /// frequent-edges set (the incremental miner's maintained table) in place
     /// of the data scan; the ladder above level 1 runs unchanged.
+    ///
+    /// Under an anti-monotone measure the cycles come from the `l`-paths
+    /// already mined ([`DiamMine::cycles_from_arcs`]).  Otherwise the two
+    /// arcs of a frequent cycle need not be frequent, so the pass keeps the
+    /// `2l`-path route ([`DiamMine::cycles_from_paths`]), mining `2l`-paths
+    /// the range left out.  Both routes give the same bytes wherever both are
+    /// complete.
     pub(crate) fn mine_seeds(
         &self,
         data: &MiningData<'_>,
@@ -262,28 +269,29 @@ impl SkinnyMine {
         for paths in ranged.values() {
             seeds.extend(paths.iter().cloned().map(Seed::Path));
         }
-        if self.config.cycle_seeds {
-            let lengths: Vec<usize> = ranged.keys().copied().collect();
-            // a frequent C_{2l+1} implies frequent paths of length 2l, so
-            // when 2l lies inside the mined range and is absent there is no
-            // cycle either; only a bounded range can cut 2l off, and those
-            // missing even lengths are mined together over one shared
-            // doubling ladder
-            let missing: Vec<usize> = lengths
-                .iter()
-                .map(|&l| 2 * l)
-                .filter(|&n| !ranged.contains_key(&n) && hi.is_some_and(|h| n > h))
-                .collect();
-            let extra = if missing.is_empty() {
-                BTreeMap::new()
-            } else {
-                dm.mine_exact_many_with_stats(&missing, stats)
-            };
-            for l in lengths {
-                let paths_2l = ranged.get(&(2 * l)).or_else(|| extra.get(&(2 * l)));
-                if let Some(paths_2l) = paths_2l {
-                    seeds.extend(dm.cycles_from_paths(paths_2l, l).into_iter().map(Seed::Cycle));
-                }
+        if !self.config.cycle_seeds {
+            return seeds;
+        }
+        if self.config.support.is_anti_monotone() {
+            for (&l, paths_l) in &ranged {
+                seeds.extend(dm.cycles_from_arcs(paths_l, l).into_iter().map(Seed::Cycle));
+            }
+            return seeds;
+        }
+        // a frequent C_{2l+1} implies frequent paths of length 2l, so when
+        // 2l lies inside the mined range and is absent there is no cycle
+        // either; only a bounded range can cut 2l off, and those missing
+        // even lengths are mined together over one shared doubling ladder
+        let missing: Vec<usize> = ranged
+            .keys()
+            .map(|&l| 2 * l)
+            .filter(|&n| !ranged.contains_key(&n) && hi.is_some_and(|h| n > h))
+            .collect();
+        let extra =
+            if missing.is_empty() { BTreeMap::new() } else { dm.mine_exact_many_with_stats(&missing, stats) };
+        for &l in ranged.keys() {
+            if let Some(paths_2l) = ranged.get(&(2 * l)).or_else(|| extra.get(&(2 * l))) {
+                seeds.extend(dm.cycles_from_paths(paths_2l, l).into_iter().map(Seed::Cycle));
             }
         }
         seeds

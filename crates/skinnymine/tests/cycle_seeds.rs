@@ -119,3 +119,157 @@ fn c3_is_mined_for_l1() {
     assert_eq!(c3.support, 2);
     assert!(c3.embeddings.iter().all(|e| e.is_valid(&c3.graph, &g)));
 }
+
+// ---------------------------------------------------------------------------
+// The arc route against the 2l-path oracle, and entry-point identity.
+// ---------------------------------------------------------------------------
+
+mod routes {
+    use proptest::prelude::*;
+    use skinny_graph::{GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
+    use skinnymine::{DiamMine, MinimalPatternIndex, MiningData, ReportMode, SkinnyMine, SkinnyMineConfig};
+
+    /// Strategy: one small dense graph over at most two vertex labels and
+    /// two edge labels, so short odd cycles are common and label-equal
+    /// cycle symmetries occur.
+    fn any_graph() -> impl Strategy<Value = LabeledGraph> {
+        (4..10usize).prop_flat_map(|n| {
+            let labels = proptest::collection::vec(0..2u32, n);
+            let edges = proptest::collection::vec((0..n, 0..n, 0..2u32), n..(3 * n));
+            (labels, edges).prop_map(|(labels, edges)| {
+                let mut g = LabeledGraph::new();
+                for l in labels {
+                    g.add_vertex(Label(l));
+                }
+                for (u, v, el) in edges {
+                    let (u, v) = (VertexId(u as u32), VertexId(v as u32));
+                    if u == v || g.has_edge(u, v) {
+                        continue;
+                    }
+                    g.add_edge(u, v, Label(el)).expect("vertices exist and the edge is new");
+                }
+                g
+            })
+        })
+    }
+
+    fn any_database(txns: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = GraphDatabase> {
+        proptest::collection::vec(any_graph(), txns).prop_map(GraphDatabase::from_graphs)
+    }
+
+    const ARC_MEASURES: [SupportMeasure; 2] = [SupportMeasure::MinimumImage, SupportMeasure::Transactions];
+
+    /// The arc route over the mined `l`-paths against the `2l`-path oracle,
+    /// compared on `Debug` bytes (keys, rows and row order).
+    fn assert_arcs_match_oracle(data: MiningData<'_>, sigma: usize, l: usize) -> Result<(), TestCaseError> {
+        for measure in ARC_MEASURES {
+            let oracle = format!("{:?}", DiamMine::new(data.clone(), sigma, measure).frequent_cycles(l));
+            for threads in [1usize, 2, 8] {
+                let dm = DiamMine::new(data.clone(), sigma, measure).with_threads(threads);
+                let arcs = dm.cycles_from_arcs(&dm.mine_exact(l), l);
+                prop_assert_eq!(
+                    &format!("{arcs:?}"),
+                    &oracle,
+                    "{:?}, l = {}, sigma = {}, {} threads",
+                    measure,
+                    l,
+                    sigma,
+                    threads
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A direct mine and an index request of the same configuration give
+    /// the same patterns, compared on each pattern's `Debug` bytes.  The
+    /// comparison ignores the reported order: the index's final sort breaks
+    /// fewer ties than the direct miner's, a known drift the benchmark's
+    /// traced index request still mirrors.
+    fn assert_index_matches_direct(
+        db: &GraphDatabase,
+        config: &SkinnyMineConfig,
+    ) -> Result<(), TestCaseError> {
+        let sorted_debug = |patterns: &[skinnymine::SkinnyPattern]| {
+            let mut out: Vec<String> = patterns.iter().map(|p| format!("{p:?}")).collect();
+            out.sort();
+            out
+        };
+        let direct = SkinnyMine::new(config.clone()).mine_database(db).unwrap();
+        let index = MinimalPatternIndex::build_for_database(db, config.sigma, config.support, None);
+        let served = index.request(config).unwrap();
+        prop_assert_eq!(sorted_debug(&served.patterns), sorted_debug(&direct.patterns), "{:?}", config);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn arc_route_matches_oracle_on_single_graphs(g in any_graph(), sigma in 1..3usize, l in 1..=4usize) {
+            assert_arcs_match_oracle(MiningData::Single(&g), sigma, l)?;
+        }
+
+        #[test]
+        fn arc_route_matches_oracle_on_databases(db in any_database(1..=4), sigma in 1..4usize, l in 1..=4usize) {
+            assert_arcs_match_oracle(MiningData::Transactions(&db), sigma, l)?;
+        }
+
+        /// Every measure through both public entry points with cycle seeds
+        /// on: the arc route (`MinimumImage`, `Transactions`) and the kept
+        /// `2l` route (`EmbeddingCount`, `DistinctVertexSets`) against the
+        /// index, which closes its stored `2l`-paths.
+        #[test]
+        fn direct_mine_with_cycle_seeds_matches_index(
+            db in any_database(1..=3),
+            sigma in 1..3usize,
+            l in 1..=3usize,
+            measure in 0..4usize,
+        ) {
+            let measure = [
+                SupportMeasure::MinimumImage,
+                SupportMeasure::Transactions,
+                SupportMeasure::EmbeddingCount,
+                SupportMeasure::DistinctVertexSets,
+            ][measure];
+            let config = SkinnyMineConfig::new(l, 1, sigma)
+                .with_support_measure(measure)
+                .with_report(ReportMode::All);
+            assert_index_matches_direct(&db, &config)?;
+        }
+    }
+
+    /// A graph large enough that the arc kernel shards its rows on the pool
+    /// at `l = 3` (the sequential cutoff is 4096 directed rows): one vertex
+    /// label and a ring with chords, so odd cycles close at every length.
+    #[test]
+    fn sharded_arc_route_matches_oracle() {
+        let n = 112u32;
+        let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        edges.extend((0..n).map(|i| (i, (i + 2) % n)));
+        edges.extend((0..n).step_by(2).map(|i| (i, (i + 7) % n)));
+        let g = LabeledGraph::from_unlabeled_edges(&vec![Label(0); n as usize], edges).unwrap();
+        for l in 1..=3usize {
+            let dm = DiamMine::new(MiningData::Single(&g), 2, SupportMeasure::MinimumImage);
+            let oracle = dm.frequent_cycles(l);
+            assert!(!oracle.is_empty(), "the fixture must close cycles at l = {l}");
+            let paths = dm.mine_exact(l);
+            let rows: usize = paths.iter().map(|p| p.embeddings.len()).sum();
+            assert!(l < 3 || 2 * rows >= 4096, "l = 3 must shard: {rows} rows");
+            let sharded = dm.clone().with_threads(2);
+            assert_eq!(
+                format!("{:?}", sharded.cycles_from_arcs(&paths, l)),
+                format!("{oracle:?}"),
+                "l = {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_two_measures_are_anti_monotone() {
+        assert!(SupportMeasure::MinimumImage.is_anti_monotone());
+        assert!(SupportMeasure::Transactions.is_anti_monotone());
+        assert!(!SupportMeasure::EmbeddingCount.is_anti_monotone());
+        assert!(!SupportMeasure::DistinctVertexSets.is_anti_monotone());
+    }
+}
