@@ -7,16 +7,13 @@ use skinny_baselines::{
     Budget, GraphMiner, Moss, MossConfig, SpiderMine, SpiderMineConfig, Subdue, SubdueConfig,
 };
 use skinny_datagen::ScalabilitySetting;
-use skinnymine::{Exploration, LengthConstraint, ReportMode, Representation, SkinnyMine, SkinnyMineConfig};
+use skinnymine::{Exploration, LengthConstraint, ReportMode, SkinnyMine, SkinnyMineConfig};
 
 fn skinny_config() -> SkinnyMineConfig {
     SkinnyMineConfig::new(6, 2, 2)
         .with_length(LengthConstraint::AtLeast(6))
         .with_report(ReportMode::Closed)
         .with_exploration(Exploration::ClosureJump)
-        // the comparison runs against the columnar snapshot layer (the
-        // production serving path); baselines read the same GraphView trait
-        .with_representation(Representation::CsrSnapshot)
 }
 
 /// Figure 11: SkinnyMine vs MoSS on small sparse graphs.

@@ -8,8 +8,7 @@
 //!
 //! * [`graph::LabeledGraph`] — undirected vertex/edge-labeled simple graphs
 //!   (the mutable construction form);
-//! * [`view::GraphView`] — the read-only trait both representations
-//!   implement, with [`view::GraphRef`] as the run-time choice between them;
+//! * [`view::GraphView`] — the read-only trait both graph forms implement;
 //! * [`csr::CsrGraph`] / [`csr::CsrSnapshot`] — immutable columnar (CSR)
 //!   snapshots with label-partitioned vertex lists and an edge-triple index,
 //!   built once per transaction and swept by every downstream pass;
@@ -87,4 +86,4 @@ pub use skinny::{analyze, is_delta_skinny, is_l_long_delta_skinny, SkinnyAnalysi
 pub use subiso::{count_embeddings, find_embeddings, has_embedding, SubIsoOptions};
 pub use transaction::GraphDatabase;
 pub use traversal::{ball, bfs_distances, connected_components, is_connected, UNREACHABLE};
-pub use view::{GraphRef, GraphView, Neighbors};
+pub use view::{GraphView, Neighbors};

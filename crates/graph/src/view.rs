@@ -1,28 +1,25 @@
 //! The read-only graph abstraction shared by every mining consumer.
 //!
-//! [`GraphView`] is the trait both graph representations implement:
+//! [`GraphView`] is the trait both graph forms implement:
 //!
 //! * [`LabeledGraph`] — the mutable adjacency-list form used during
-//!   construction and for small patterns;
-//! * [`CsrGraph`] — the immutable columnar snapshot the miners and the
-//!   minimal-pattern index sweep at serving time.
+//!   construction and for patterns;
+//! * [`CsrGraph`](crate::csr::CsrGraph) — the immutable columnar snapshot every mining pass and
+//!   the minimal-pattern index sweep.
 //!
-//! Algorithms that only *read* a graph (subgraph isomorphism, BFS, occurrence
-//! joins) are generic over `GraphView`, so the same monomorphized code runs
-//! against either representation.  [`GraphRef`] is the zero-cost dynamic
-//! choice between the two — a `Copy` enum with inlined match dispatch — used
-//! where the representation is picked at run time (a mining configuration
-//! knob) rather than at compile time.
+//! Algorithms that only *read* a graph (subgraph isomorphism, BFS,
+//! canonical diameters, occurrence validation) are generic over
+//! `GraphView`, so the same monomorphized code runs against data snapshots
+//! and pattern graphs alike.
 
-use crate::csr::CsrGraph;
 use crate::graph::{Edge, LabeledGraph, VertexId};
 use crate::label::Label;
 
 /// A read-only view of an undirected, vertex- and edge-labeled simple graph.
 ///
-/// Implementations must report neighbors in ascending neighbor-id order; the
-/// miners' determinism guarantees (byte-identical output for every thread
-/// count *and* for every representation) rest on that shared iteration order.
+/// Implementations must report neighbors in ascending neighbor-id order; a
+/// snapshot frozen from a graph then sweeps exactly like the graph itself,
+/// which the miners' byte-identity guarantees rest on.
 pub trait GraphView {
     /// Number of vertices `|V|`.
     fn vertex_count(&self) -> usize;
@@ -56,7 +53,7 @@ pub trait GraphView {
     }
 
     /// Iterates over all edges, each reported once with `u < v`, in the scan
-    /// order `(u ascending, v ascending)` shared by both representations.
+    /// order `(u ascending, v ascending)` shared by both graph forms.
     fn edges(&self) -> EdgesIter<'_, Self>
     where
         Self: Sized,
@@ -173,111 +170,6 @@ impl<G: GraphView> Iterator for EdgesIter<'_, G> {
     }
 }
 
-/// A borrowed graph in either representation: the run-time counterpart of the
-/// `GraphView` generic.  `Copy`, two words wide, with `#[inline]` match
-/// dispatch on every accessor.
-#[derive(Debug, Clone, Copy)]
-pub enum GraphRef<'a> {
-    /// Adjacency-list representation.
-    Adjacency(&'a LabeledGraph),
-    /// Columnar CSR snapshot.
-    Csr(&'a CsrGraph),
-}
-
-impl<'a> GraphRef<'a> {
-    /// The underlying CSR snapshot, when this reference is CSR-backed.
-    #[inline]
-    pub fn as_csr(self) -> Option<&'a CsrGraph> {
-        match self {
-            GraphRef::Adjacency(_) => None,
-            GraphRef::Csr(csr) => Some(csr),
-        }
-    }
-
-    /// Neighbor iterator carrying the *full* borrow lifetime `'a` (the trait
-    /// method can only tie the iterator to `&self`).
-    #[inline]
-    pub fn neighbors(self, v: VertexId) -> Neighbors<'a> {
-        match self {
-            GraphRef::Adjacency(g) => Neighbors::Adjacency(g.neighbor_slice(v).iter()),
-            GraphRef::Csr(g) => g.neighbors_at(v),
-        }
-    }
-
-    /// Vertex label (see [`GraphView::label`]).
-    #[inline]
-    pub fn label(self, v: VertexId) -> Label {
-        match self {
-            GraphRef::Adjacency(g) => g.label(v),
-            GraphRef::Csr(g) => g.label(v),
-        }
-    }
-
-    /// Edge label lookup (see [`GraphView::edge_label`]).
-    #[inline]
-    pub fn edge_label(self, u: VertexId, v: VertexId) -> Option<Label> {
-        match self {
-            GraphRef::Adjacency(g) => g.edge_label(u, v),
-            GraphRef::Csr(g) => g.edge_label(u, v),
-        }
-    }
-
-    /// Edge existence test (see [`GraphView::has_edge`]).
-    #[inline]
-    pub fn has_edge(self, u: VertexId, v: VertexId) -> bool {
-        match self {
-            GraphRef::Adjacency(g) => g.has_edge(u, v),
-            GraphRef::Csr(g) => g.has_edge(u, v),
-        }
-    }
-}
-
-impl GraphView for GraphRef<'_> {
-    #[inline]
-    fn vertex_count(&self) -> usize {
-        match self {
-            GraphRef::Adjacency(g) => g.vertex_count(),
-            GraphRef::Csr(g) => g.vertex_count(),
-        }
-    }
-
-    #[inline]
-    fn edge_count(&self) -> usize {
-        match self {
-            GraphRef::Adjacency(g) => g.edge_count(),
-            GraphRef::Csr(g) => g.edge_count(),
-        }
-    }
-
-    #[inline]
-    fn label(&self, v: VertexId) -> Label {
-        (*self).label(v)
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        match self {
-            GraphRef::Adjacency(g) => g.degree(v),
-            GraphRef::Csr(g) => g.degree(v),
-        }
-    }
-
-    #[inline]
-    fn neighbors(&self, v: VertexId) -> Neighbors<'_> {
-        (*self).neighbors(v)
-    }
-
-    #[inline]
-    fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        (*self).has_edge(u, v)
-    }
-
-    #[inline]
-    fn edge_label(&self, u: VertexId, v: VertexId) -> Option<Label> {
-        (*self).edge_label(u, v)
-    }
-}
-
 impl<G: GraphView + ?Sized> GraphView for &G {
     #[inline]
     fn vertex_count(&self) -> usize {
@@ -370,21 +262,6 @@ mod tests {
         let via_trait: Vec<Edge> = GraphView::edges(&g).collect();
         let via_inherent: Vec<Edge> = g.edges().collect();
         assert_eq!(via_trait, via_inherent);
-    }
-
-    #[test]
-    fn graph_ref_delegates() {
-        let g = graph();
-        let r = GraphRef::Adjacency(&g);
-        assert_eq!(GraphView::vertex_count(&r), 4);
-        assert_eq!(GraphView::edge_count(&r), 4);
-        assert_eq!(r.label(VertexId(3)), Label(2));
-        assert_eq!(GraphView::degree(&r, VertexId(2)), 3);
-        assert!(r.has_edge(VertexId(0), VertexId(2)));
-        assert_eq!(r.edge_label(VertexId(2), VertexId(3)), Some(Label(7)));
-        assert!(r.as_csr().is_none());
-        let ns: Vec<_> = r.neighbors(VertexId(0)).collect();
-        assert_eq!(ns, vec![(VertexId(1), Label(5)), (VertexId(2), Label(5))]);
     }
 
     #[test]

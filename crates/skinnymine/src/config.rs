@@ -81,23 +81,6 @@ pub enum Exploration {
     ClosureJump,
 }
 
-/// Which data-graph representation the mining passes sweep.
-///
-/// Mining output is **byte-identical** between the two (the determinism
-/// tests assert it); the choice only affects how the data is accessed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Representation {
-    /// Sweep the per-vertex adjacency lists of the input graph directly.
-    /// No snapshot cost; right for tiny inputs and one-shot runs.
-    Adjacency,
-    /// Freeze the input into an immutable CSR snapshot
-    /// ([`skinny_graph::CsrSnapshot`]) first: flat neighbor columns,
-    /// label-partitioned vertex lists and an edge-triple index that turns
-    /// Stage-I seed enumeration into an index walk.  The default.
-    #[default]
-    CsrSnapshot,
-}
-
 /// Which Stage-II engine evaluates the candidate extensions of a grown
 /// pattern.
 ///
@@ -168,14 +151,14 @@ pub struct SkinnyMineConfig {
     /// Number of worker threads for growing independent canonical-diameter
     /// clusters (1 = sequential).
     pub threads: usize,
-    /// Which data representation the mining passes sweep (output is
-    /// byte-identical either way).
-    pub representation: Representation,
     /// Whether Stage I also seeds frequent **odd cycles** `C_{2l+1}` — the
     /// minimal non-path constraint-satisfying patterns (e.g. C₅ for `l = 2`),
     /// which Stage II cannot reach from path seeds.  Required for
-    /// Definition-8 completeness on adversarial inputs; costs an extra
-    /// frequent-path pass at length `2l` per admitted `l`.
+    /// Definition-8 completeness on adversarial inputs.  Under an
+    /// anti-monotone support measure the cycles are paired from the
+    /// `l`-paths Stage I already mined; under `EmbeddingCount` and
+    /// `DistinctVertexSets` it costs an extra frequent-path pass at length
+    /// `2l` per admitted `l`.
     pub cycle_seeds: bool,
     /// Which Stage-II engine evaluates candidate extensions (output is
     /// byte-identical either way).
@@ -198,7 +181,6 @@ impl SkinnyMineConfig {
             max_patterns: None,
             max_embeddings_per_pattern: Some(10_000),
             threads: 1,
-            representation: Representation::default(),
             cycle_seeds: true,
             grow_engine: GrowEngine::default(),
         }
@@ -240,12 +222,6 @@ impl SkinnyMineConfig {
         self
     }
 
-    /// Sets the data representation the mining passes sweep.
-    pub fn with_representation(mut self, representation: Representation) -> Self {
-        self.representation = representation;
-        self
-    }
-
     /// Sets the Stage-II candidate-evaluation engine.
     pub fn with_grow_engine(mut self, grow_engine: GrowEngine) -> Self {
         self.grow_engine = grow_engine;
@@ -270,15 +246,16 @@ impl SkinnyMineConfig {
         self
     }
 
-    /// The canonical serving-cache key of this configuration: mining output
-    /// is invariant under thread count and data representation by
-    /// construction (the determinism suite asserts it), so the key
-    /// normalizes both away and the same logical request shares one cache
-    /// slot — and one in-flight mining run — however it is served.
+    /// The canonical serving-cache key of this configuration: the mined
+    /// patterns are invariant under thread count and grow engine by
+    /// construction (the determinism and engine-parity suites assert it), so
+    /// the key normalizes both away and the same logical request shares one
+    /// cache slot — and one in-flight mining run — however it is served.
+    /// The cached result's stats come from whichever run filled the slot.
     pub fn canonical_request_key(&self) -> SkinnyMineConfig {
         let mut key = self.clone();
         key.threads = 1;
-        key.representation = Representation::default();
+        key.grow_engine = GrowEngine::default();
         key
     }
 

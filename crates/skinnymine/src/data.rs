@@ -1,5 +1,4 @@
-//! A unified view over the two mining settings and the two data
-//! representations.
+//! The input forms of a mining run.
 //!
 //! The paper defines the problem in the single-graph setting and notes that
 //! "the corresponding version for graph transaction setting can be easily
@@ -7,19 +6,16 @@
 //! data as a list of transaction graphs (a single graph is a one-transaction
 //! database), and embeddings always carry their transaction index.
 //!
-//! Orthogonally, each transaction can be served from the adjacency-list form
-//! ([`LabeledGraph`]) or from an immutable columnar snapshot
-//! ([`skinny_graph::CsrSnapshot`]); [`MiningData::view`] hands out a
-//! [`GraphRef`] either way, and all mining passes go through it — output is
-//! byte-identical across the representations.
+//! Mining reads one form only: the immutable columnar
+//! [`skinny_graph::CsrSnapshot`].  Adjacency-list input is frozen into a
+//! snapshot once at the entry point ([`MiningData::to_snapshot`]), and input
+//! that already is a snapshot is borrowed as is.
 
-use skinny_graph::{
-    CsrSnapshot, GraphDatabase, GraphRef, GraphView, Label, LabeledGraph, Neighbors, VertexId,
-};
+use skinny_graph::{CsrSnapshot, GraphDatabase, LabeledGraph};
 use std::borrow::Cow;
 
-/// The data being mined: a single large graph or a transaction database, in
-/// either representation.
+/// The data being mined: a single large graph or a transaction database,
+/// either as adjacency lists or already frozen into a CSR snapshot.
 #[derive(Debug, Clone)]
 pub enum MiningData<'a> {
     /// Single-graph setting (the paper's Definition 8), adjacency-list form.
@@ -37,32 +33,6 @@ impl<'a> MiningData<'a> {
             MiningData::Single(_) => 1,
             MiningData::Transactions(db) => db.len(),
             MiningData::Snapshot(s) => s.len(),
-        }
-    }
-
-    /// A [`GraphRef`] onto the graph of transaction `t`.
-    ///
-    /// # Panics
-    /// Panics when `t` is out of range; all transaction indices produced by
-    /// this type are valid.
-    #[inline]
-    pub fn view(&self, t: usize) -> GraphRef<'a> {
-        match self {
-            MiningData::Single(g) => {
-                debug_assert_eq!(t, 0, "single-graph setting has only transaction 0");
-                GraphRef::Adjacency(g)
-            }
-            MiningData::Transactions(db) => GraphRef::Adjacency(&db[t]),
-            MiningData::Snapshot(s) => GraphRef::Csr(s.graph(t)),
-        }
-    }
-
-    /// Iterates over `(transaction index, graph view)` pairs.
-    pub fn transactions(&self) -> TransactionIter<'a> {
-        match self {
-            MiningData::Single(g) => TransactionIter::Single(Some(g)),
-            MiningData::Transactions(db) => TransactionIter::Database { db, next: 0 },
-            MiningData::Snapshot(s) => TransactionIter::Snapshot { snapshot: s, next: 0 },
         }
     }
 
@@ -89,12 +59,20 @@ impl<'a> MiningData<'a> {
 
     /// Total number of vertices across transactions.
     pub fn total_vertices(&self) -> usize {
-        self.transactions().map(|(_, g)| g.vertex_count()).sum()
+        match self {
+            MiningData::Single(g) => g.vertex_count(),
+            MiningData::Transactions(db) => db.total_vertices(),
+            MiningData::Snapshot(s) => s.iter().map(|(_, g)| g.vertex_count()).sum(),
+        }
     }
 
     /// Total number of edges across transactions.
     pub fn total_edges(&self) -> usize {
-        self.transactions().map(|(_, g)| g.edge_count()).sum()
+        match self {
+            MiningData::Single(g) => g.edge_count(),
+            MiningData::Transactions(db) => db.total_edges(),
+            MiningData::Snapshot(s) => s.iter().map(|(_, g)| g.edge_count()).sum(),
+        }
     }
 
     /// True when there is no vertex at all.
@@ -102,33 +80,8 @@ impl<'a> MiningData<'a> {
         self.total_vertices() == 0
     }
 
-    /// Label of vertex `v` in transaction `t`.
-    #[inline]
-    pub fn label(&self, t: usize, v: VertexId) -> Label {
-        self.view(t).label(v)
-    }
-
-    /// Neighbors of `v` in transaction `t`.
-    #[inline]
-    pub fn neighbors(&self, t: usize, v: VertexId) -> Neighbors<'a> {
-        self.view(t).neighbors(v)
-    }
-
-    /// True if edge `(u, v)` exists in transaction `t`.
-    #[inline]
-    pub fn has_edge(&self, t: usize, u: VertexId, v: VertexId) -> bool {
-        self.view(t).has_edge(u, v)
-    }
-
-    /// Label of edge `(u, v)` in transaction `t`, if present.
-    #[inline]
-    pub fn edge_label(&self, t: usize, u: VertexId, v: VertexId) -> Option<Label> {
-        self.view(t).edge_label(u, v)
-    }
-
-    /// True when the mining setting is the transaction setting.  The answer
-    /// is representation-independent: a snapshot remembers which setting it
-    /// was frozen from.
+    /// True when the mining setting is the transaction setting.  A snapshot
+    /// remembers which setting it was frozen from.
     pub fn is_transactional(&self) -> bool {
         match self {
             MiningData::Single(_) => false,
@@ -137,68 +90,6 @@ impl<'a> MiningData<'a> {
         }
     }
 }
-
-/// Concrete iterator behind [`MiningData::transactions`] — a small enum
-/// instead of a boxed trait object, since this sits on the per-request hot
-/// path of the minimal-pattern index.
-#[derive(Debug, Clone)]
-pub enum TransactionIter<'a> {
-    /// Single-graph setting: yields transaction 0 once.
-    Single(Option<&'a LabeledGraph>),
-    /// Database setting: walks the transactions in order.
-    Database {
-        /// The underlying database.
-        db: &'a GraphDatabase,
-        /// Next transaction index.
-        next: usize,
-    },
-    /// Snapshot-backed: walks the per-transaction CSR graphs in order.
-    Snapshot {
-        /// The underlying snapshot.
-        snapshot: &'a CsrSnapshot,
-        /// Next transaction index.
-        next: usize,
-    },
-}
-
-impl<'a> Iterator for TransactionIter<'a> {
-    type Item = (usize, GraphRef<'a>);
-
-    fn next(&mut self) -> Option<(usize, GraphRef<'a>)> {
-        match self {
-            TransactionIter::Single(slot) => slot.take().map(|g| (0, GraphRef::Adjacency(g))),
-            TransactionIter::Database { db, next } => {
-                if *next < db.len() {
-                    let t = *next;
-                    *next = t + 1;
-                    Some((t, GraphRef::Adjacency(&db[t])))
-                } else {
-                    None
-                }
-            }
-            TransactionIter::Snapshot { snapshot, next } => {
-                if *next < snapshot.len() {
-                    let t = *next;
-                    *next = t + 1;
-                    Some((t, GraphRef::Csr(snapshot.graph(t))))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            TransactionIter::Single(slot) => slot.is_some() as usize,
-            TransactionIter::Database { db, next } => db.len() - next,
-            TransactionIter::Snapshot { snapshot, next } => snapshot.len() - next,
-        };
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for TransactionIter<'_> {}
 
 impl<'a> From<&'a LabeledGraph> for MiningData<'a> {
     fn from(g: &'a LabeledGraph) -> Self {
@@ -221,76 +112,57 @@ impl<'a> From<&'a CsrSnapshot> for MiningData<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skinny_graph::{Label, VertexId};
 
     fn graph() -> LabeledGraph {
         LabeledGraph::from_unlabeled_edges(&[Label(0), Label(1), Label(0)], [(0, 1), (1, 2)]).unwrap()
     }
 
     #[test]
-    fn single_graph_view() {
+    fn single_graph_input() {
         let g = graph();
         let data: MiningData<'_> = (&g).into();
         assert_eq!(data.transaction_count(), 1);
         assert!(!data.is_transactional());
         assert_eq!(data.total_vertices(), 3);
         assert_eq!(data.total_edges(), 2);
-        assert_eq!(data.label(0, VertexId(1)), Label(1));
-        assert!(data.has_edge(0, VertexId(0), VertexId(1)));
-        assert_eq!(data.edge_label(0, VertexId(0), VertexId(1)), Some(Label(0)));
-        assert_eq!(data.neighbors(0, VertexId(1)).count(), 2);
         assert!(!data.is_empty());
+        let snapshot = data.to_snapshot();
+        assert!(matches!(snapshot, Cow::Owned(_)));
+        assert_eq!(snapshot.len(), 1);
+        assert_eq!(snapshot.graph(0).label(VertexId(1)), Label(1));
+        assert!(snapshot.graph(0).parity_with(&g));
     }
 
     #[test]
-    fn transaction_view() {
+    fn transaction_input() {
         let db = GraphDatabase::from_graphs(vec![graph(), graph()]);
         let data: MiningData<'_> = (&db).into();
         assert_eq!(data.transaction_count(), 2);
         assert!(data.is_transactional());
         assert_eq!(data.total_vertices(), 6);
-        let ids: Vec<usize> = data.transactions().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![0, 1]);
-        assert_eq!(skinny_graph::GraphView::vertex_count(&data.view(1)), 3);
+        assert_eq!(data.total_edges(), 4);
+        let snapshot = data.to_snapshot();
+        assert!(snapshot.is_transactional());
+        // a parallel freeze of the database setting is byte-identical
+        assert_eq!(data.to_snapshot_with_threads(2).as_ref(), snapshot.as_ref());
     }
 
     #[test]
-    fn snapshot_view_answers_identically() {
-        let g = graph();
-        let adjacency: MiningData<'_> = (&g).into();
+    fn snapshot_input_answers_identically() {
+        let db = GraphDatabase::from_graphs(vec![graph(), graph(), graph()]);
+        let adjacency: MiningData<'_> = (&db).into();
         let snapshot = adjacency.to_snapshot();
         let data: MiningData<'_> = snapshot.as_ref().into();
-        assert_eq!(data.transaction_count(), 1);
-        assert!(!data.is_transactional());
-        assert_eq!(data.total_vertices(), 3);
-        assert_eq!(data.total_edges(), 2);
-        assert_eq!(data.label(0, VertexId(1)), Label(1));
-        assert!(data.has_edge(0, VertexId(0), VertexId(1)));
-        assert_eq!(data.edge_label(0, VertexId(1), VertexId(2)), Some(Label(0)));
-        let ns: Vec<_> = data.neighbors(0, VertexId(1)).collect();
-        let ns_adj: Vec<_> = adjacency.neighbors(0, VertexId(1)).collect();
-        assert_eq!(ns, ns_adj);
+        assert_eq!(data.transaction_count(), 3);
+        assert!(data.is_transactional());
+        assert_eq!(data.total_vertices(), adjacency.total_vertices());
+        assert_eq!(data.total_edges(), adjacency.total_edges());
         // re-snapshotting a snapshot is a borrow of the existing snapshot,
         // not a rebuild
         let again = data.to_snapshot();
         assert!(matches!(again, Cow::Borrowed(_)));
         assert!(std::ptr::eq(again.as_ref(), &*snapshot));
-        assert_eq!(again.as_ref(), &*snapshot);
-    }
-
-    #[test]
-    fn transaction_iter_is_exact_size() {
-        let db = GraphDatabase::from_graphs(vec![graph(), graph(), graph()]);
-        let data: MiningData<'_> = (&db).into();
-        let mut it = data.transactions();
-        assert_eq!(it.len(), 3);
-        it.next();
-        assert_eq!(it.len(), 2);
-        let snapshot = data.to_snapshot();
-        let snap_data: MiningData<'_> = snapshot.as_ref().into();
-        assert_eq!(snap_data.transactions().len(), 3);
-        assert!(snap_data.is_transactional());
-        // a parallel freeze of the database setting is byte-identical
-        assert_eq!(data.to_snapshot_with_threads(2).as_ref(), snapshot.as_ref());
     }
 
     #[test]

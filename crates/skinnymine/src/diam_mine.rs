@@ -16,7 +16,8 @@
 //! All joins run at the occurrence (embedding) level, so no subgraph
 //! isomorphism search is ever needed — this is what makes the stage "direct".
 //!
-//! On CSR-backed data ([`MiningData::Snapshot`]) the seed step walks the
+//! The miner reads the CSR snapshot of its input (frozen once at
+//! construction unless the input already is one): the seed step walks the
 //! snapshot's `(label, edge label, label)` triple index instead of scanning
 //! every edge, and the occurrence joins read both orientations of every
 //! stored path straight out of a flat columnar arena without
@@ -59,9 +60,10 @@ use crate::level_grow::phase_ticks;
 use crate::path_pattern::{PathKey, PathPattern, PatternTable};
 use crate::stats::{JoinPhaseStats, MiningStats};
 use skinny_graph::{
-    all_distinct_marked, disjoint_except_shared_marked, GraphView, JoinScratch, Label, OccurrenceStore,
-    PrefixIndex, SupportMeasure, SupportScratch, VertexId,
+    all_distinct_marked, disjoint_except_shared_marked, CsrGraph, CsrSnapshot, JoinScratch, Label,
+    OccurrenceStore, PrefixIndex, SupportMeasure, SupportScratch, VertexId,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
@@ -73,7 +75,7 @@ const MIN_PARALLEL_TXNS: usize = 64;
 /// Stage-I miner for frequent simple paths (and cycle seeds).
 #[derive(Debug, Clone)]
 pub struct DiamMine<'a> {
-    data: MiningData<'a>,
+    snapshot: Cow<'a, CsrSnapshot>,
     sigma: usize,
     support: SupportMeasure,
     threads: usize,
@@ -277,7 +279,7 @@ fn push_directed_labels(
 ///
 /// A stored row's labels equal its pattern's canonical key read in the
 /// row's direction (palindromic keys read the same both ways), so the memo
-/// value is exactly what per-product `canonical_labels_into` + `slot_for`
+/// value is exactly what per-product `key_of_occurrence` + `slot_for`
 /// would have produced — emission order is unchanged.
 #[inline]
 #[allow(clippy::too_many_arguments)] // a free fn on the join hot path; the args are the join row
@@ -344,9 +346,16 @@ fn intern_product(
 
 impl<'a> DiamMine<'a> {
     /// Creates a Stage-I miner over `data` with support threshold `sigma`
-    /// under the given support measure.
+    /// under the given support measure.  Adjacency-list input is frozen into
+    /// a CSR snapshot here, once; snapshot input is borrowed.
     pub fn new(data: MiningData<'a>, sigma: usize, support: SupportMeasure) -> Self {
-        DiamMine { data, sigma, support, threads: 1, level1_override: None }
+        DiamMine { snapshot: data.to_snapshot(), sigma, support, threads: 1, level1_override: None }
+    }
+
+    /// The graph of transaction `t`.
+    #[inline]
+    fn graph(&self, t: usize) -> &CsrGraph {
+        self.snapshot.graph(t)
     }
 
     /// Sets the number of worker threads used by the occurrence-level joins
@@ -372,9 +381,8 @@ impl<'a> DiamMine<'a> {
     /// All frequent paths of length exactly 1 (frequent edges) — the seed set
     /// `S_0` of Algorithm 2.
     ///
-    /// On snapshot-backed data this walks the CSR edge-triple index (one
-    /// bucket per candidate path key); on adjacency-backed data it scans the
-    /// edges once.  Both produce byte-identical patterns.
+    /// The walk visits the CSR edge-triple index, one bucket per candidate
+    /// path key.
     ///
     /// With more than `MIN_PARALLEL_TXNS` transactions and `threads > 1`
     /// the transaction walk is sharded across pool workers: each chunk
@@ -405,20 +413,18 @@ impl<'a> DiamMine<'a> {
     /// what makes per-transaction retain + re-seed + transaction-ordered
     /// stitch reproduce this table exactly.
     pub fn level1_table(&self) -> PatternTable {
-        let txns = self.data.transaction_count();
+        let txns = self.snapshot.len();
         if self.threads <= 1 || txns < MIN_PARALLEL_TXNS {
             let mut table = PatternTable::new();
-            let mut scratch = JoinScratch::new();
-            self.seed_transactions(0..txns, &mut table, &mut scratch);
+            self.seed_transactions(0..txns, &mut table);
             table
         } else {
             let ranges = skinny_pool::chunk_ranges(txns, self.threads, 4);
-            let partials =
-                skinny_pool::run_with(self.threads, ranges.len(), JoinScratch::new, |scratch, c| {
-                    let mut local = PatternTable::new();
-                    self.seed_transactions(ranges[c].clone(), &mut local, scratch);
-                    local
-                });
+            let partials = skinny_pool::run_indexed(self.threads, ranges.len(), |c| {
+                let mut local = PatternTable::new();
+                self.seed_transactions(ranges[c].clone(), &mut local);
+                local
+            });
             let mut merged = PatternTable::new();
             for partial in partials {
                 merged.merge(partial);
@@ -430,33 +436,12 @@ impl<'a> DiamMine<'a> {
     /// Seed enumeration over one contiguous transaction shard, accumulating
     /// into `table` — the per-task body of [`DiamMine::frequent_edges`], and
     /// the incremental miner's per-dirty-transaction re-seed (`t..t + 1`).
-    pub(crate) fn seed_transactions(
-        &self,
-        range: std::ops::Range<usize>,
-        table: &mut PatternTable,
-        scratch: &mut JoinScratch,
-    ) {
+    pub(crate) fn seed_transactions(&self, range: std::ops::Range<usize>, table: &mut PatternTable) {
         for t in range {
-            let view = self.data.view(t);
-            if let Some(csr) = view.as_csr() {
-                for ((la, el, lb), bucket) in csr.edge_triples() {
-                    let pattern = table.slot_for(&[la, lb], &[el]);
-                    for &(u, v) in bucket {
-                        pattern.add_occurrence_slice(t, &[u, v], false);
-                    }
-                }
-            } else {
-                for e in view.edges() {
-                    let occ = [e.u, e.v];
-                    let reversed = PathPattern::canonical_labels_into(
-                        &view,
-                        &occ,
-                        &mut scratch.vertex_labels,
-                        &mut scratch.edge_labels,
-                    );
-                    table
-                        .slot_for(&scratch.vertex_labels, &scratch.edge_labels)
-                        .add_occurrence_slice(t, &occ, reversed);
+            for ((la, el, lb), bucket) in self.graph(t).edge_triples() {
+                let pattern = table.slot_for(&[la, lb], &[el]);
+                for &(u, v) in bucket {
+                    pattern.add_occurrence_slice(t, &[u, v], false);
                 }
             }
         }
@@ -466,32 +451,19 @@ impl<'a> DiamMine<'a> {
     /// label)` triple, together with the number of edge records visited to
     /// enumerate it.
     ///
-    /// On snapshot-backed data this walks exactly the triple's index bucket
-    /// (visit count = occurrences of the triple); on adjacency-backed data it
-    /// has to scan every edge of every transaction (visit count = total edge
-    /// count).  The visit counts are asserted by the index-walk regression
-    /// test — Stage-I seed enumeration must not fall back to a full edge scan
-    /// per label triple.
+    /// The walk visits exactly the triple's index bucket in every
+    /// transaction, so the visit count equals the triple's occurrence count.
+    /// The index-walk regression test asserts it: Stage-I seed enumeration
+    /// must never fall back to a full edge scan per label triple.
     pub fn frequent_edges_for_triple(&self, la: Label, el: Label, lb: Label) -> (Option<PathPattern>, u64) {
         let (key, _) = PathKey::canonical(vec![la, lb], vec![el]);
         let mut pattern = PathPattern::new(key.clone());
         let mut visited = 0u64;
-        for (t, view) in self.data.transactions() {
-            if let Some(csr) = view.as_csr() {
-                let bucket = csr.triple_edges(la, el, lb);
-                visited += bucket.len() as u64;
-                for &(u, v) in bucket {
-                    pattern.add_occurrence(t, vec![u, v], false);
-                }
-            } else {
-                for e in view.edges() {
-                    visited += 1;
-                    let occ = vec![e.u, e.v];
-                    let (occ_key, reversed) = PathPattern::key_of_occurrence(&view, &occ);
-                    if occ_key == key {
-                        pattern.add_occurrence(t, occ, reversed);
-                    }
-                }
+        for (t, csr) in self.snapshot.iter() {
+            let bucket = csr.triple_edges(la, el, lb);
+            visited += bucket.len() as u64;
+            for &(u, v) in bucket {
+                pattern.add_occurrence(t, vec![u, v], false);
             }
         }
         pattern.dedup();
@@ -717,8 +689,7 @@ impl<'a> DiamMine<'a> {
                 }
                 let mut combined = a.to_vec();
                 combined.extend_from_slice(&b[1..]);
-                let view = self.data.view(t);
-                let (key, reversed) = PathPattern::key_of_occurrence(&view, &combined);
+                let (key, reversed) = PathPattern::key_of_occurrence(self.graph(t), &combined);
                 by_key
                     .entry(key.clone())
                     .or_insert_with(|| PathPattern::new(key))
@@ -758,8 +729,7 @@ impl<'a> DiamMine<'a> {
                 if combined.len() != target + 1 || !all_distinct(&combined) {
                     continue;
                 }
-                let view = self.data.view(t);
-                let (key, reversed) = PathPattern::key_of_occurrence(&view, &combined);
+                let (key, reversed) = PathPattern::key_of_occurrence(self.graph(t), &combined);
                 by_key
                     .entry(key.clone())
                     .or_insert_with(|| PathPattern::new(key))
@@ -965,11 +935,11 @@ impl<'a> DiamMine<'a> {
             debug_assert_eq!(p.len(), 2 * l, "cycle seeds need paths of length 2l");
             for occ in p.embeddings.iter() {
                 let t = occ.transaction;
-                let view = self.data.view(t);
+                let view = self.graph(t);
                 let head = occ.vertices[0];
                 let tail = *occ.vertices.last().expect("path occurrence is nonempty");
                 let Some(closing) = view.edge_label(head, tail) else { continue };
-                let (key, canonical_vertices) = CyclePattern::canonicalize(&view, occ.vertices, closing);
+                let (key, canonical_vertices) = CyclePattern::canonicalize(view, occ.vertices, closing);
                 table.push(key, t, &canonical_vertices);
             }
         }
@@ -1017,7 +987,7 @@ impl<'a> DiamMine<'a> {
                 }
                 let a = occs.row(i);
                 let t = occs.transaction(i);
-                let view = self.data.view(t);
+                let view = self.graph(t);
                 let postings = index.postings(occs, t, &a[..1]);
                 // posting lists keep global row order: only partners after i
                 let later = &postings[postings.partition_point(|&j| j as usize <= i)..];
@@ -1036,7 +1006,7 @@ impl<'a> DiamMine<'a> {
                     if !all_distinct_marked(&scratch.row, &mut scratch.marks) {
                         continue;
                     }
-                    let (key, vertices) = CyclePattern::canonicalize(&view, &scratch.row, closing);
+                    let (key, vertices) = CyclePattern::canonicalize(view, &scratch.row, closing);
                     table.push(key, t, &vertices);
                 }
             }
@@ -1211,7 +1181,7 @@ fn all_distinct(vs: &[VertexId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skinny_graph::{CsrSnapshot, Label, LabeledGraph};
+    use skinny_graph::{Label, LabeledGraph};
 
     fn l(x: u32) -> Label {
         Label(x)
@@ -1256,38 +1226,47 @@ mod tests {
         assert!(miner(&g, 3).frequent_edges().is_empty());
     }
 
+    /// The length-1 pattern of one label triple found by scanning every
+    /// edge of the adjacency-list graph — the oracle for the index walk.
+    fn edge_scan(g: &LabeledGraph, key: &PathKey) -> PathPattern {
+        let mut pattern = PathPattern::new(key.clone());
+        for e in g.edges() {
+            let occ = vec![e.u, e.v];
+            let (occ_key, reversed) = PathPattern::key_of_occurrence(g, &occ);
+            if &occ_key == key {
+                pattern.add_occurrence(0, occ, reversed);
+            }
+        }
+        pattern.dedup();
+        pattern
+    }
+
     #[test]
     fn csr_seed_walk_matches_edge_scan() {
         let g = two_path_copies();
-        let snapshot = CsrSnapshot::from_graph(&g);
-        let adj = miner(&g, 2).frequent_edges();
-        let csr = DiamMine::new(MiningData::Snapshot(&snapshot), 2, SupportMeasure::DistinctVertexSets)
-            .frequent_edges();
-        assert_eq!(adj.len(), csr.len());
-        for (a, c) in adj.iter().zip(&csr) {
-            assert_eq!(a.key, c.key);
-            assert_eq!(a.embeddings, c.embeddings, "occurrence stores must be byte-identical");
+        let edges = miner(&g, 2).frequent_edges();
+        assert_eq!(edges.len(), 4);
+        for e in &edges {
+            assert_eq!(
+                e.embeddings,
+                edge_scan(&g, &e.key).embeddings,
+                "occurrence stores must be byte-identical"
+            );
         }
     }
 
     #[test]
     fn triple_seed_walk_visits_only_its_bucket() {
         let g = two_path_copies();
-        let snapshot = CsrSnapshot::from_graph(&g);
-        let csr_miner = DiamMine::new(MiningData::Snapshot(&snapshot), 2, SupportMeasure::DistinctVertexSets);
-        let adj_miner = miner(&g, 2);
+        let csr_miner = miner(&g, 2);
         let (p_csr, visited_csr) = csr_miner.frequent_edges_for_triple(l(0), Label::DEFAULT_EDGE, l(1));
-        let (p_adj, visited_adj) = adj_miner.frequent_edges_for_triple(l(0), Label::DEFAULT_EDGE, l(1));
         let p_csr = p_csr.expect("a-b edge is frequent");
-        let p_adj = p_adj.expect("a-b edge is frequent");
-        assert_eq!(p_csr.key, p_adj.key);
-        assert_eq!(p_csr.embeddings, p_adj.embeddings);
-        // the index walk visits exactly the triple's 2 edges; the adjacency
-        // path has no choice but to scan all 8 — this is the regression guard
-        // against reintroducing a full edge scan per label triple
+        assert_eq!(p_csr.embeddings, edge_scan(&g, &p_csr.key).embeddings);
+        // the index walk visits exactly the triple's 2 edges of the 8 — this
+        // is the regression guard against reintroducing a full edge scan per
+        // label triple
         assert_eq!(visited_csr, 2);
-        assert_eq!(visited_adj, g.edge_count() as u64);
-        // an absent triple costs zero index-walk work on CSR
+        // an absent triple costs zero index-walk work
         let (none, visited_none) = csr_miner.frequent_edges_for_triple(l(0), l(9), l(1));
         assert!(none.is_none());
         assert_eq!(visited_none, 0);

@@ -28,16 +28,16 @@
 //!
 //! The engine must be byte-identical to the reference path
 //! (`LevelGrow::candidate_extensions_reference` + full re-scan) for any
-//! thread count and either data representation:
+//! thread count:
 //!
 //! * **Candidate order** — candidates are interned in first-occurrence order
 //!   by the finalize pass and then iterated in the sorted [`Extension`] key
 //!   order, exactly the order the reference `BTreeSet` yields.
 //! * **Row order** — entries of one candidate are stored in ascending
 //!   `(row, attachment vertex)` order.  The sweep visits rows ascending and
-//!   each row's neighbors in the ascending-id order both representations
-//!   share, so gathered child stores equal the reference re-scan output
-//!   byte for byte (asserted by the `ext_index_properties` suite).
+//!   each row's neighbors in ascending-id order, as the reference re-scan
+//!   does, so gathered child stores equal its output byte for byte
+//!   (asserted by the `ext_index_properties` suite).
 //! * **Oversized attachment runs** — a new outside vertex adjacent to more
 //!   than [`FULL_SUBSET_DEGREE`] pattern images only generates its *full*
 //!   attachment set as a candidate (as in the reference enumeration), but a
@@ -59,9 +59,8 @@
 //! Everything is allocation-free in steady state: interning uses
 //! rebuilt-in-place hash maps and all buffers are reused across patterns.
 
-use crate::data::MiningData;
 use crate::grown::{Extension, GrownPattern};
-use skinny_graph::{GraphView, GroupSorter, KeyMarks, Label, OccurrenceStore, VertexId, VertexSlots};
+use skinny_graph::{CsrSnapshot, GroupSorter, KeyMarks, Label, OccurrenceStore, VertexId, VertexSlots};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -274,7 +273,7 @@ impl ExtensionScratch {
     /// in the data, inverted to its supporting rows.  The candidate set and
     /// order equal the reference enumeration's `BTreeSet`; the entry lists
     /// equal the reference re-scan output.
-    pub fn build(&mut self, pattern: &GrownPattern, data: &MiningData<'_>, delta: u32) {
+    pub fn build(&mut self, pattern: &GrownPattern, data: &CsrSnapshot, delta: u32) {
         self.intern_fixed.clear();
         self.intern_multi.clear();
         self.keys.clear();
@@ -295,14 +294,7 @@ impl ExtensionScratch {
         }
         self.allow_new.clear();
         self.allow_new.extend(pattern.level.iter().map(|&lvl| lvl < delta));
-        // dispatch on the representation once: the row sweep below is
-        // monomorphized per concrete graph type, so the per-neighbor loop
-        // compiles to a tight slice walk with no enum dispatch inside
-        match data {
-            MiningData::Single(g) => self.sweep(pattern, |_| *g),
-            MiningData::Transactions(db) => self.sweep(pattern, |t| &db[t]),
-            MiningData::Snapshot(s) => self.sweep(pattern, |t| s.graph(t)),
-        }
+        self.sweep(pattern, data);
         self.finalize();
     }
 
@@ -373,17 +365,13 @@ impl ExtensionScratch {
         std::mem::swap(&mut table.offsets, &mut self.offsets2);
     }
 
-    /// The per-row emission sweep of [`ExtensionScratch::build`], generic
-    /// over the concrete graph type so the neighbor loop monomorphizes.
-    fn sweep<'g, G>(&mut self, pattern: &GrownPattern, graph_of: impl Fn(usize) -> &'g G)
-    where
-        G: GraphView + 'g,
-    {
+    /// The per-row emission sweep of [`ExtensionScratch::build`].
+    fn sweep(&mut self, pattern: &GrownPattern, data: &CsrSnapshot) {
         let n = pattern.graph.vertex_count() as u32;
         let words = (n as usize).div_ceil(64);
         for (r, e) in pattern.embeddings.iter().enumerate() {
             let r = r as u32;
-            let g = graph_of(e.transaction);
+            let g = data.graph(e.transaction);
             self.images.reset();
             for (p, &d) in e.vertices.iter().enumerate() {
                 self.images.set(d, p as u32);
@@ -393,7 +381,7 @@ impl ExtensionScratch {
                 let image = e.image(p as usize);
                 let allow_new = self.allow_new[p as usize];
                 let adj_row = &self.adj_bits[p as usize * words..(p as usize + 1) * words];
-                for (w, el) in g.neighbors(image) {
+                for (w, el) in g.neighbors_at(image) {
                     match self.images.get(w) {
                         Some(q) => {
                             // a potential closing edge between pattern
@@ -665,7 +653,7 @@ mod tests {
     #[test]
     fn table_inverts_candidates_to_rows() {
         let g = data_graph();
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let pattern = seed_pattern();
         let mut scratch = ExtensionScratch::new();
         scratch.build(&pattern, &data, 2);
@@ -687,7 +675,7 @@ mod tests {
     #[test]
     fn gather_equals_reference_rescan() {
         let g = data_graph();
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let pattern = seed_pattern();
         let mut scratch = ExtensionScratch::new();
         scratch.build(&pattern, &data, 2);
@@ -702,7 +690,7 @@ mod tests {
     #[test]
     fn delta_zero_suppresses_new_vertex_candidates() {
         let g = data_graph();
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let pattern = seed_pattern();
         let mut scratch = ExtensionScratch::new();
         scratch.build(&pattern, &data, 0);
@@ -733,7 +721,7 @@ mod tests {
         edges.push((base, base + 8));
         edges.push((base + 1, base + 8));
         let g = LabeledGraph::from_unlabeled_edges(&labels, edges).unwrap();
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let (key, _) = PathKey::canonical((0..8).map(l).collect(), vec![l(0); 7]);
         let mut p = PathPattern::new(key);
         p.add_occurrence(0, (0..8).map(VertexId).collect(), false);

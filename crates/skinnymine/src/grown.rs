@@ -6,8 +6,8 @@ use crate::ext_index::ExtensionScratch;
 use crate::path_pattern::PathPattern;
 use serde::{Deserialize, Serialize};
 use skinny_graph::{
-    CanonId, CanonSet, DistMatrix, Label, LabeledGraph, OccurrenceStore, SupportBatch, SupportMeasure,
-    SupportScratch, VertexId, VertexMarks,
+    CanonId, CanonSet, CsrSnapshot, DistMatrix, Label, LabeledGraph, OccurrenceStore, SupportBatch,
+    SupportMeasure, SupportScratch, VertexId, VertexMarks,
 };
 
 /// Per-worker scratch for Stage-II growth, reused across every cluster a
@@ -471,7 +471,7 @@ impl GrownPattern {
     ///   each child row is appended straight into the output arena.
     /// * For a closing edge, rows that do not have the required data edge are
     ///   dropped.
-    pub fn extend_embeddings(&self, data: &crate::data::MiningData<'_>, ext: &Extension) -> OccurrenceStore {
+    pub fn extend_embeddings(&self, data: &CsrSnapshot, ext: &Extension) -> OccurrenceStore {
         self.extend_embeddings_with(data, ext, &mut VertexMarks::new())
     }
 
@@ -481,7 +481,7 @@ impl GrownPattern {
     /// scan, and a rejected neighbor performs no allocation at all.
     pub fn extend_embeddings_with(
         &self,
-        data: &crate::data::MiningData<'_>,
+        data: &CsrSnapshot,
         ext: &Extension,
         row_marks: &mut VertexMarks,
     ) -> OccurrenceStore {
@@ -494,12 +494,13 @@ impl GrownPattern {
                     for &v in e.vertices {
                         row_marks.mark(v);
                     }
+                    let g = data.graph(e.transaction);
                     let image = e.image(attach as usize);
-                    for (w, el) in data.neighbors(e.transaction, image) {
+                    for (w, el) in g.neighbors_at(image) {
                         if el != edge_label {
                             continue;
                         }
-                        if data.label(e.transaction, w) != vertex_label {
+                        if g.label(w) != vertex_label {
                             continue;
                         }
                         if row_marks.is_marked(w) {
@@ -520,20 +521,21 @@ impl GrownPattern {
                     for &v in e.vertices {
                         row_marks.mark(v);
                     }
+                    let g = data.graph(e.transaction);
                     let image0 = e.image(a0 as usize);
-                    for (w, el) in data.neighbors(e.transaction, image0) {
+                    for (w, el) in g.neighbors_at(image0) {
                         if el != el0 {
                             continue;
                         }
-                        if data.label(e.transaction, w) != vertex_label {
+                        if g.label(w) != vertex_label {
                             continue;
                         }
                         if row_marks.is_marked(w) {
                             continue;
                         }
-                        let all_present = edges[1..].iter().all(|&(a, ell)| {
-                            data.edge_label(e.transaction, e.image(a as usize), w) == Some(ell)
-                        });
+                        let all_present = edges[1..]
+                            .iter()
+                            .all(|&(a, ell)| g.edge_label(e.image(a as usize), w) == Some(ell));
                         if all_present {
                             out.push_row_extended(e.transaction, e.vertices, w);
                         }
@@ -546,7 +548,7 @@ impl GrownPattern {
                 for e in self.embeddings.iter() {
                     let du = e.image(u as usize);
                     let dv = e.image(v as usize);
-                    if data.edge_label(e.transaction, du, dv) == Some(edge_label) {
+                    if data.graph(e.transaction).edge_label(du, dv) == Some(edge_label) {
                         out.push_row(e.transaction, e.vertices);
                     }
                 }
@@ -615,7 +617,6 @@ pub struct StructuralExtension {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::MiningData;
     use crate::path_pattern::PathKey;
 
     fn l(x: u32) -> Label {
@@ -662,7 +663,7 @@ mod tests {
     #[test]
     fn new_vertex_extension_updates_structure_and_embeddings() {
         let g = data_graph();
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let p = seed_pattern(&g);
         let ext = Extension::NewVertex { attach: 1, vertex_label: l(9), edge_label: Label::DEFAULT_EDGE };
         let st = p.apply_structure(&ext);
@@ -686,7 +687,7 @@ mod tests {
     #[test]
     fn new_vertex_extension_with_absent_label_yields_no_embedding() {
         let g = data_graph();
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let p = seed_pattern(&g);
         let ext = Extension::NewVertex { attach: 2, vertex_label: l(9), edge_label: Label::DEFAULT_EDGE };
         // 'c' vertices have no label-9 neighbor
@@ -699,7 +700,7 @@ mod tests {
         // between diameter positions 0 and 2 keeps just that occurrence
         let mut g = data_graph();
         g.add_unlabeled_edge(VertexId(0), VertexId(2)).unwrap();
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let p = seed_pattern(&g);
         let ext = Extension::ClosingEdge { u: 0, v: 2, edge_label: Label::DEFAULT_EDGE };
         let em = p.extend_embeddings(&data, &ext);

@@ -31,12 +31,12 @@
 //!
 //! The maintained result is **byte-identical** to a from-scratch
 //! [`SkinnyMine::mine_database`] after every refresh (property-tested over
-//! arbitrary update sequences, thread counts and both representations):
+//! arbitrary update sequences and thread counts):
 //! per-seed outcomes are concatenated in seed order and the identical
 //! deterministic tail (cross-cluster dedup iff cycle seeds, stable global
 //! sort, `max_patterns` cap) runs over them.
 
-use crate::config::{Representation, SkinnyMineConfig};
+use crate::config::SkinnyMineConfig;
 use crate::cycle::CycleKey;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
@@ -46,7 +46,7 @@ use crate::miner::SkinnyMine;
 use crate::path_pattern::{PathKey, PatternTable};
 use crate::result::MiningResult;
 use crate::stats::MiningStats;
-use skinny_graph::{CsrSnapshot, GraphDatabase, JoinScratch, OccurrenceStore, SnapshotBuilder};
+use skinny_graph::{CsrSnapshot, GraphDatabase, OccurrenceStore, SnapshotBuilder};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -119,9 +119,8 @@ fn disjoint(txns: &[u32], dirty: &BTreeSet<usize>) -> bool {
 pub struct IncrementalMiner {
     miner: SkinnyMine,
     db: GraphDatabase,
-    /// Maintained per-transaction CSR snapshot (`None` on the adjacency
-    /// representation).
-    snapshot: Option<CsrSnapshot>,
+    /// Maintained per-transaction CSR snapshot.
+    snapshot: CsrSnapshot,
     /// Warm builder reused by every dirty-transaction re-freeze.
     builder: SnapshotBuilder,
     /// The maintained **unfiltered** level-1 pattern table.
@@ -138,40 +137,31 @@ impl IncrementalMiner {
     /// full mine.
     pub fn new(config: SkinnyMineConfig, mut db: GraphDatabase) -> MineResult<Self> {
         config.validate()?;
-        if MiningData::Transactions(&db).is_empty() {
+        if db.total_vertices() == 0 {
             return Err(MineError::InvalidInput { reason: "the input data contains no vertices".into() });
         }
         db.clear_dirty();
         let miner = SkinnyMine::new(config.clone());
         let builder = SnapshotBuilder::new();
         let mut stats = MiningStats::default();
-        let snapshot = match config.representation {
-            Representation::CsrSnapshot => {
-                let tf = Instant::now();
-                let snap = CsrSnapshot::from_database_with_threads(&db, config.threads);
-                stats.freeze_seconds = tf.elapsed().as_secs_f64();
-                Some(snap)
-            }
-            Representation::Adjacency => None,
-        };
-        let data = match &snapshot {
-            Some(snap) => MiningData::Snapshot(snap),
-            None => MiningData::Transactions(&db),
-        };
+        let tf = Instant::now();
+        let snapshot = CsrSnapshot::from_database_with_threads(&db, config.threads);
+        stats.freeze_seconds = tf.elapsed().as_secs_f64();
 
         // Stage I, keeping the unfiltered level-1 table for maintenance.
         let t0 = Instant::now();
-        let dm = DiamMine::new(data.clone(), config.sigma, config.support).with_threads(config.threads);
+        let dm = DiamMine::new(MiningData::Snapshot(&snapshot), config.sigma, config.support)
+            .with_threads(config.threads);
         let level1 = dm.level1_table();
         let finalized = dm.finalize(level1.clone_frequent(config.sigma, config.support));
-        let seeds = miner.mine_seeds(&data, Some(finalized), &mut stats);
+        let seeds = miner.mine_seeds(&snapshot, Some(finalized), &mut stats);
         stats.diam_mine.duration = t0.elapsed();
         stats.diam_mine.patterns_out = seeds.len() as u64;
         stats.clusters = seeds.len() as u64;
 
         // Stage II, caching every cluster's outcome.
         let t1 = Instant::now();
-        let outcomes = miner.grow_outcomes(&data, &seeds, &mut stats);
+        let outcomes = miner.grow_outcomes(&snapshot, &seeds, &mut stats);
         let had_cycle_seeds = seeds.iter().any(|s| matches!(s, Seed::Cycle(_)));
         let mut patterns = Vec::new();
         let mut clusters = HashMap::with_capacity(seeds.len());
@@ -188,7 +178,7 @@ impl IncrementalMiner {
         stats.level_grow.duration = t1.elapsed();
         let patterns = miner.finish(patterns, had_cycle_seeds, &mut stats);
         // release the borrow of `snapshot` before moving it into the miner
-        let _ = data;
+        drop(dm);
 
         let last = MiningResult { patterns, stats };
         Ok(IncrementalMiner { miner, db, snapshot, builder, level1, clusters, last })
@@ -223,7 +213,7 @@ impl IncrementalMiner {
     /// indexes — the memory price of delta refreshes instead of full
     /// re-mines (reported by the incremental bench section).
     pub fn maintained_bytes(&self) -> usize {
-        let snapshot = self.snapshot.as_ref().map_or(0, CsrSnapshot::heap_bytes);
+        let snapshot = self.snapshot.heap_bytes();
         let clusters: usize = self
             .clusters
             .values()
@@ -249,46 +239,41 @@ impl IncrementalMiner {
         let mut stats = MiningStats::default();
 
         // 1. Snapshot delta: re-freeze exactly the dirty transactions.
-        if let Some(snap) = &mut self.snapshot {
-            let tf = Instant::now();
-            for &t in &dirty {
-                let g = self.db.get(t)?;
-                if t < snap.len() {
-                    snap.refreeze_transaction(t, g, &mut self.builder);
-                } else {
-                    // BTreeSet iteration ascends, so appended transactions
-                    // arrive in index order.
-                    let appended = snap.push_transaction(g, &mut self.builder);
-                    debug_assert_eq!(appended, t);
-                }
+        let tf = Instant::now();
+        for &t in &dirty {
+            let g = self.db.get(t)?;
+            if t < self.snapshot.len() {
+                self.snapshot.refreeze_transaction(t, g, &mut self.builder);
+            } else {
+                // BTreeSet iteration ascends, so appended transactions
+                // arrive in index order.
+                let appended = self.snapshot.push_transaction(g, &mut self.builder);
+                debug_assert_eq!(appended, t);
             }
-            stats.freeze_seconds = tf.elapsed().as_secs_f64();
         }
-        let data = match &self.snapshot {
-            Some(snap) => MiningData::Snapshot(snap),
-            None => MiningData::Transactions(&self.db),
-        };
+        stats.freeze_seconds = tf.elapsed().as_secs_f64();
+        let snapshot = &self.snapshot;
 
         // 2. Stage-I delta: retain clean rows, re-seed dirty transactions,
         //    stitch in transaction order, then finalize the maintained table.
         let t0 = Instant::now();
-        let dm = DiamMine::new(data.clone(), config.sigma, config.support).with_threads(config.threads);
+        let dm = DiamMine::new(MiningData::Snapshot(snapshot), config.sigma, config.support)
+            .with_threads(config.threads);
         // BTreeSet iteration ascends, matching remove_transactions' contract;
         // slots untouched by the delta are skipped without a row scan.
         let dirty_txns: Vec<u32> = dirty.iter().map(|&t| t as u32).collect();
         self.level1.remove_transactions(&dirty_txns);
         let mut partial = PatternTable::new();
-        let mut scratch = JoinScratch::new();
         for &t in &dirty {
-            if t < data.transaction_count() {
-                dm.seed_transactions(t..t + 1, &mut partial, &mut scratch);
+            if t < snapshot.len() {
+                dm.seed_transactions(t..t + 1, &mut partial);
             }
         }
         self.level1.merge_by_transaction(partial);
         // σ-filter before cloning: the read of the maintained table costs
         // O(frequent set), not O(corpus)
         let finalized = dm.finalize(self.level1.clone_frequent(config.sigma, config.support));
-        let seeds = self.miner.mine_seeds(&data, Some(finalized), &mut stats);
+        let seeds = self.miner.mine_seeds(snapshot, Some(finalized), &mut stats);
         stats.diam_mine.duration = t0.elapsed();
         stats.diam_mine.patterns_out = seeds.len() as u64;
         stats.clusters = seeds.len() as u64;
@@ -311,10 +296,8 @@ impl IncrementalMiner {
                 regrow.push(seed.clone());
             }
         }
-        let fresh = self.miner.grow_outcomes(&data, &regrow, &mut stats);
+        let fresh = self.miner.grow_outcomes(snapshot, &regrow, &mut stats);
         let had_cycle_seeds = seeds.iter().any(|s| matches!(s, Seed::Cycle(_)));
-        // release the borrow of `self.snapshot` before mutating `self` below
-        let _ = data;
 
         // Fold outcomes in seed order — identical to a from-scratch run —
         // and rebuild the cluster cache for the next refresh.
@@ -470,13 +453,12 @@ mod tests {
     #[test]
     fn maintained_bytes_counts_snapshot_table_and_cluster_cache() {
         let db = GraphDatabase::from_graphs(vec![backbone(true), backbone(true)]);
-        let inc = IncrementalMiner::new(config(), db.clone()).unwrap();
-        assert!(inc.maintained_bytes() > 0);
-        let adjacency =
-            IncrementalMiner::new(config().with_representation(Representation::Adjacency), db).unwrap();
+        let snapshot_bytes = CsrSnapshot::from_database(&db).heap_bytes();
+        let inc = IncrementalMiner::new(config(), db).unwrap();
+        assert!(snapshot_bytes > 0);
         assert!(
-            adjacency.maintained_bytes() < inc.maintained_bytes(),
-            "the adjacency representation maintains no snapshot"
+            inc.maintained_bytes() > snapshot_bytes,
+            "the level-1 table and the cluster cache come on top of the snapshot"
         );
     }
 
@@ -491,21 +473,18 @@ mod tests {
     }
 
     #[test]
-    fn parity_holds_across_threads_and_representations() {
+    fn parity_holds_across_threads() {
         let db = GraphDatabase::from_graphs(vec![backbone(true), backbone(true), backbone(false)]);
         for threads in [1usize, 2, 8] {
-            for repr in [Representation::CsrSnapshot, Representation::Adjacency] {
-                let cfg = config().with_threads(threads).with_representation(repr);
-                let mut inc = IncrementalMiner::new(cfg, db.clone()).unwrap();
-                let w = inc.database_mut().add_vertex_in(2, l(9)).unwrap();
-                inc.database_mut().add_edge_in(2, VertexId(2), w, Label::DEFAULT_EDGE).unwrap();
-                inc.database_mut().remove_edge_in(0, VertexId(0), VertexId(1)).unwrap();
-                inc.refresh().unwrap();
-                assert_parity(&inc);
-                inc.database_mut().add_transaction(backbone(false));
-                inc.refresh().unwrap();
-                assert_parity(&inc);
-            }
+            let mut inc = IncrementalMiner::new(config().with_threads(threads), db.clone()).unwrap();
+            let w = inc.database_mut().add_vertex_in(2, l(9)).unwrap();
+            inc.database_mut().add_edge_in(2, VertexId(2), w, Label::DEFAULT_EDGE).unwrap();
+            inc.database_mut().remove_edge_in(0, VertexId(0), VertexId(1)).unwrap();
+            inc.refresh().unwrap();
+            assert_parity(&inc);
+            inc.database_mut().add_transaction(backbone(false));
+            inc.refresh().unwrap();
+            assert_parity(&inc);
         }
     }
 

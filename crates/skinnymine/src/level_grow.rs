@@ -42,9 +42,10 @@ use crate::result::SkinnyPattern;
 use crate::stats::MiningStats;
 use serde::{Deserialize, Serialize};
 use skinny_graph::{
-    DfsCode, EmbeddingSet, OccurrenceStore, SupportBatch, SupportMeasure, SupportScratch, VertexId,
-    VertexMarks,
+    CsrSnapshot, DfsCode, EmbeddingSet, OccurrenceStore, SupportBatch, SupportMeasure, SupportScratch,
+    VertexId, VertexMarks,
 };
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -148,7 +149,7 @@ impl Seed {
 /// The Stage-II grower.
 #[derive(Debug, Clone)]
 pub struct LevelGrow<'a> {
-    data: MiningData<'a>,
+    data: Cow<'a, CsrSnapshot>,
     config: &'a SkinnyMineConfig,
 }
 
@@ -165,8 +166,10 @@ pub struct ClusterOutcome {
 
 impl<'a> LevelGrow<'a> {
     /// Creates a grower over `data` with the run configuration.
+    /// Adjacency-list input is frozen into a CSR snapshot here, once;
+    /// snapshot input is borrowed.
     pub fn new(data: MiningData<'a>, config: &'a SkinnyMineConfig) -> Self {
-        LevelGrow { data, config }
+        LevelGrow { data: data.to_snapshot(), config }
     }
 
     /// Grows the cluster seeded by one canonical diameter (a frequent path of
@@ -677,6 +680,7 @@ impl<'a> LevelGrow<'a> {
         let delta = self.config.delta;
         let n = pattern.graph.vertex_count();
         for e in pattern.embeddings.iter() {
+            let g = self.data.graph(e.transaction);
             // reverse map: data vertex -> pattern vertex for this embedding
             images.reset();
             for (p, &d) in e.vertices.iter().enumerate() {
@@ -686,7 +690,7 @@ impl<'a> LevelGrow<'a> {
             probe_marks.reset();
             for p in 0..n as u32 {
                 let image = e.image(p as usize);
-                for (w, el) in self.data.neighbors(e.transaction, image) {
+                for (w, el) in g.neighbors_at(image) {
                     match images.get(w) {
                         Some(q) => {
                             // a potential closing edge between pattern vertices p and q
@@ -703,7 +707,7 @@ impl<'a> LevelGrow<'a> {
                             if pattern.level[p as usize] >= delta {
                                 continue;
                             }
-                            let vertex_label = self.data.label(e.transaction, w);
+                            let vertex_label = g.label(w);
                             attachments.push((w, p, el));
                             // several same-labeled neighbors of one image
                             // re-derive the same descriptor; only the first
@@ -739,7 +743,7 @@ impl<'a> LevelGrow<'a> {
                 if k < 2 {
                     continue;
                 }
-                let vertex_label = self.data.label(e.transaction, w);
+                let vertex_label = g.label(w);
                 if k <= FULL_SUBSET_DEGREE {
                     for mask in 1u32..(1 << k) {
                         if mask.count_ones() < 2 {

@@ -30,17 +30,17 @@
 //! constraints with **Reducibility** and **Continuity** — lives in
 //! [`framework`].
 //!
-//! ## Data representations
+//! ## Data representation
 //!
-//! All mining passes read the data through `skinny_graph`'s `GraphView`
-//! trait.  [`SkinnyMineConfig::representation`] selects what they sweep:
-//! the input's adjacency lists, or (the default) an immutable columnar
-//! **CSR snapshot** built once per run — flat neighbor columns plus
+//! Every mining pass sweeps one form of the data: an immutable columnar
+//! **CSR snapshot** (`skinny_graph::CsrSnapshot`), frozen once per run from
+//! the input graph or database — flat neighbor columns plus
 //! label-partitioned vertex lists and an edge-triple index that turns
-//! Stage-I seed enumeration into an index walk.  Occurrence lists on the
-//! hot paths live in `skinny_graph::OccurrenceStore` (structure-of-arrays,
-//! arena-based extension joins).  Mining output is **byte-identical**
-//! across representations and thread counts.
+//! Stage-I seed enumeration into an index walk.  Input that is already a
+//! snapshot ([`MiningData::Snapshot`]) is mined as is.  Occurrence lists on
+//! the hot paths live in `skinny_graph::OccurrenceStore`
+//! (structure-of-arrays, arena-based extension joins).  Mining output is
+//! **byte-identical** across input forms and thread counts.
 //!
 //! ## Parallelism
 //!
@@ -95,15 +95,14 @@ pub mod serving;
 pub mod stats;
 
 pub use config::{
-    ConstraintCheckMode, Exploration, GrowEngine, LengthConstraint, ReportMode, Representation,
-    SkinnyMineConfig,
+    ConstraintCheckMode, Exploration, GrowEngine, LengthConstraint, ReportMode, SkinnyMineConfig,
 };
 pub use constraints::{
     check_extension, needs_structural_check, precheck_violation, satisfies_skinny_spec,
     verify_canonical_diameter, ConstraintViolation,
 };
 pub use cycle::{CycleKey, CyclePattern};
-pub use data::{MiningData, TransactionIter};
+pub use data::MiningData;
 pub use diam_mine::DiamMine;
 pub use error::{MineError, MineResult};
 pub use ext_index::{ExtEntry, ExtensionScratch, ExtensionTable};

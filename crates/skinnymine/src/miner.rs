@@ -1,14 +1,14 @@
 //! The top-level SkinnyMine driver (Algorithm 1): Stage I (DiamMine) followed
 //! by Stage II (LevelGrow) over every canonical-diameter cluster.
 
-use crate::config::{Representation, SkinnyMineConfig};
+use crate::config::SkinnyMineConfig;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
 use crate::level_grow::{LevelGrow, Seed};
 use crate::result::{MiningResult, SkinnyPattern};
 use crate::stats::MiningStats;
-use skinny_graph::{GraphDatabase, LabeledGraph};
+use skinny_graph::{CsrSnapshot, GraphDatabase, LabeledGraph};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -154,41 +154,35 @@ impl SkinnyMine {
         self.mine_data(MiningData::Transactions(db))
     }
 
-    /// Mines either setting through the unified data view.
+    /// Mines either setting, in any input form.
     ///
-    /// With [`Representation::CsrSnapshot`] (the default) the input is frozen
-    /// into an immutable CSR snapshot first and every mining pass sweeps the
-    /// snapshot's flat columns; output is byte-identical to the adjacency
-    /// path.
+    /// Adjacency-list input is frozen into an immutable CSR snapshot first
+    /// (per-shard on the configured worker count; the snapshot is
+    /// byte-identical for every thread count) and every mining pass sweeps
+    /// the snapshot's flat columns.  A [`MiningData::Snapshot`] is mined as
+    /// is, with byte-identical output.
     pub fn mine_data(&self, data: MiningData<'_>) -> MineResult<MiningResult> {
         self.config.validate()?;
         if data.is_empty() {
             return Err(MineError::InvalidInput { reason: "the input data contains no vertices".into() });
         }
         let mut stats = MiningStats::default();
-        let snapshot;
-        let data = match (self.config.representation, &data) {
-            (Representation::CsrSnapshot, MiningData::Snapshot(_)) | (Representation::Adjacency, _) => data,
-            (Representation::CsrSnapshot, _) => {
-                // freeze per-shard on the configured worker count; the
-                // snapshot is byte-identical for every thread count
-                let tf = Instant::now();
-                snapshot = data.to_snapshot_with_threads(self.config.threads);
-                stats.freeze_seconds = tf.elapsed().as_secs_f64();
-                MiningData::Snapshot(&snapshot)
-            }
-        };
+        let tf = Instant::now();
+        let snapshot = data.to_snapshot_with_threads(self.config.threads);
+        if !matches!(data, MiningData::Snapshot(_)) {
+            stats.freeze_seconds = tf.elapsed().as_secs_f64();
+        }
 
         // ---------------- Stage I: DiamMine ----------------
         let t0 = Instant::now();
-        let seeds = self.mine_seeds(&data, None, &mut stats);
+        let seeds = self.mine_seeds(&snapshot, None, &mut stats);
         stats.diam_mine.duration = t0.elapsed();
         stats.diam_mine.patterns_out = seeds.len() as u64;
         stats.clusters = seeds.len() as u64;
 
         // ---------------- Stage II: LevelGrow ----------------
         let t1 = Instant::now();
-        let outcomes = self.grow_outcomes(&data, &seeds, &mut stats);
+        let outcomes = self.grow_outcomes(&snapshot, &seeds, &mut stats);
         let mut patterns = Vec::new();
         for outcome in outcomes {
             stats.merge(&outcome.stats);
@@ -253,11 +247,11 @@ impl SkinnyMine {
     /// complete.
     pub(crate) fn mine_seeds(
         &self,
-        data: &MiningData<'_>,
+        snapshot: &CsrSnapshot,
         level1: Option<Vec<crate::path_pattern::PathPattern>>,
         stats: &mut MiningStats,
     ) -> Vec<Seed> {
-        let mut dm = DiamMine::new(data.clone(), self.config.sigma, self.config.support)
+        let mut dm = DiamMine::new(MiningData::Snapshot(snapshot), self.config.sigma, self.config.support)
             .with_threads(self.config.threads);
         if let Some(level1) = level1 {
             dm = dm.with_frequent_edges(level1);
@@ -319,12 +313,13 @@ impl SkinnyMine {
     /// `stats`.
     pub(crate) fn grow_outcomes(
         &self,
-        data: &MiningData<'_>,
+        snapshot: &CsrSnapshot,
         seeds: &[Seed],
         stats: &mut MiningStats,
     ) -> Vec<crate::level_grow::ClusterOutcome> {
+        let data = MiningData::Snapshot(snapshot);
         if self.config.threads <= 1 || seeds.len() <= 1 {
-            let grower = LevelGrow::new(data.clone(), &self.config);
+            let grower = LevelGrow::new(data, &self.config);
             let mut scratch = crate::grown::GrowScratch::new();
             return seeds.iter().map(|seed| grower.grow_seed_with(seed, &mut scratch)).collect();
         }

@@ -150,7 +150,7 @@ impl PathPattern {
     }
 
     /// Builds the canonical key and orientation flag for a directed
-    /// occurrence read off a data graph (in either representation).
+    /// occurrence read off any graph view.
     pub fn key_of_occurrence<G: GraphView>(graph: &G, vertices: &[VertexId]) -> (PathKey, bool) {
         let vlabels: Vec<Label> = vertices.iter().map(|&v| graph.label(v)).collect();
         let elabels: Vec<Label> = vertices
@@ -160,31 +160,8 @@ impl PathPattern {
         PathKey::canonical(vlabels, elabels)
     }
 
-    /// Fills `vertex_labels` / `edge_labels` with the **canonical-orientation**
-    /// label sequences of a directed occurrence, reusing the caller's buffers
-    /// (the allocation-free form of [`PathPattern::key_of_occurrence`]).
-    /// Returns whether the occurrence reads reversed relative to the result.
-    pub fn canonical_labels_into<G: GraphView>(
-        graph: &G,
-        vertices: &[VertexId],
-        vertex_labels: &mut Vec<Label>,
-        edge_labels: &mut Vec<Label>,
-    ) -> bool {
-        vertex_labels.clear();
-        vertex_labels.extend(vertices.iter().map(|&v| graph.label(v)));
-        edge_labels.clear();
-        edge_labels
-            .extend(vertices.windows(2).map(|w| graph.edge_label(w[0], w[1]).unwrap_or(Label::DEFAULT_EDGE)));
-        let reversed = reversed_is_smaller(vertex_labels, edge_labels);
-        if reversed {
-            vertex_labels.reverse();
-            edge_labels.reverse();
-        }
-        reversed
-    }
-
     /// Canonicalizes already-assembled directed label sequences in place —
-    /// the graph-free tail of [`PathPattern::canonical_labels_into`], used by
+    /// the graph-free tail of [`PathPattern::key_of_occurrence`], used by
     /// the join kernels' pattern-pair memo where the directed labels are
     /// assembled from the parents' canonical keys instead of looked up in the
     /// graph.  Returns whether the input orientation reads reversed relative

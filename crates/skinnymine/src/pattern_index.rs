@@ -11,7 +11,7 @@
 //! support threshold, then answer any number of [`MinimalPatternIndex::request`]s
 //! without re-running Stage I.
 
-use crate::config::{LengthConstraint, ReportMode, Representation, SkinnyMineConfig};
+use crate::config::{LengthConstraint, ReportMode, SkinnyMineConfig};
 use crate::cycle::CyclePattern;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
@@ -26,33 +26,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The data a pattern index was built over (owned copy, so the index can
-/// outlive the borrowed input).
-#[derive(Debug, Clone)]
-enum OwnedData {
-    /// Single-graph setting.
-    Single(LabeledGraph),
-    /// Graph-transaction setting.
-    Transactions(GraphDatabase),
-}
-
-impl OwnedData {
-    fn view(&self) -> MiningData<'_> {
-        match self {
-            OwnedData::Single(g) => MiningData::Single(g),
-            OwnedData::Transactions(db) => MiningData::Transactions(db),
-        }
-    }
-}
-
 /// Pre-computed minimal constraint-satisfying patterns — frequent paths
 /// indexed by length plus the frequent minimal odd cycles `C_{2l+1}` — with
 /// their occurrences.
 ///
 /// The index freezes its data into a [`CsrSnapshot`] **once at build time**;
 /// Stage I runs over the snapshot's triple index and every subsequent
-/// [`MinimalPatternIndex::request`] is served from the same frozen columns
-/// (unless the request explicitly asks for the adjacency representation).
+/// [`MinimalPatternIndex::request`] is served from the same frozen columns.
+/// Only an index built over a transaction database also keeps the database
+/// itself, for [`MinimalPatternIndex::update_database`].
 ///
 /// The index is `Sync`: one instance can serve [`MinimalPatternIndex::request`]s
 /// from many threads at once through the [`crate::serving`] layer — results
@@ -63,7 +45,9 @@ impl OwnedData {
 /// pre-computation).
 #[derive(Debug)]
 pub struct MinimalPatternIndex {
-    data: OwnedData,
+    /// The owned transaction database an update applies to (`None` for an
+    /// index built over a single graph).
+    database: Option<GraphDatabase>,
     snapshot: CsrSnapshot,
     sigma: usize,
     support: SupportMeasure,
@@ -81,7 +65,7 @@ pub struct MinimalPatternIndex {
 impl Clone for MinimalPatternIndex {
     fn clone(&self) -> Self {
         MinimalPatternIndex {
-            data: self.data.clone(),
+            database: self.database.clone(),
             snapshot: self.snapshot.clone(),
             sigma: self.sigma,
             support: self.support,
@@ -106,7 +90,7 @@ impl MinimalPatternIndex {
         support: SupportMeasure,
         max_len: Option<usize>,
     ) -> Self {
-        Self::build_owned(OwnedData::Single(graph.clone()), sigma, support, max_len)
+        Self::build_with_threads(graph, sigma, support, max_len, 1)
     }
 
     /// Builds the index over a graph-transaction database.
@@ -116,11 +100,7 @@ impl MinimalPatternIndex {
         support: SupportMeasure,
         max_len: Option<usize>,
     ) -> Self {
-        Self::build_owned(OwnedData::Transactions(db.clone()), sigma, support, max_len)
-    }
-
-    fn build_owned(data: OwnedData, sigma: usize, support: SupportMeasure, max_len: Option<usize>) -> Self {
-        Self::build_owned_with_threads(data, sigma, support, max_len, 1)
+        Self::build_from(MiningData::Transactions(db), Some(db.clone()), sigma, support, max_len, 1)
     }
 
     /// Builds the index over a single graph with a parallel Stage I.
@@ -131,24 +111,24 @@ impl MinimalPatternIndex {
         max_len: Option<usize>,
         threads: usize,
     ) -> Self {
-        Self::build_owned_with_threads(OwnedData::Single(graph.clone()), sigma, support, max_len, threads)
+        Self::build_from(MiningData::Single(graph), None, sigma, support, max_len, threads)
     }
 
-    fn build_owned_with_threads(
-        data: OwnedData,
+    /// Freezes `data` once (per-shard on the worker pool) and runs Stage I
+    /// over the snapshot, which all request serving then sweeps too.
+    fn build_from(
+        data: MiningData<'_>,
+        database: Option<GraphDatabase>,
         sigma: usize,
         support: SupportMeasure,
         max_len: Option<usize>,
         threads: usize,
     ) -> Self {
         let t0 = Instant::now();
-        // one CSR freeze per build (per-shard on the worker pool; a cheap
-        // borrow-then-own when the data is already frozen); Stage I and all
-        // request serving sweep it
-        let snapshot = data.view().to_snapshot_with_threads(threads).into_owned();
+        let snapshot = data.to_snapshot_with_threads(threads).into_owned();
         let (by_length, cycles_by_diameter) = Self::stage_one(&snapshot, sigma, support, max_len, threads);
         MinimalPatternIndex {
-            data,
+            database,
             snapshot,
             sigma,
             support,
@@ -172,8 +152,7 @@ impl MinimalPatternIndex {
         max_len: Option<usize>,
         threads: usize,
     ) -> (BTreeMap<usize, Vec<PathPattern>>, BTreeMap<usize, Vec<CyclePattern>>) {
-        let view = MiningData::Snapshot(snapshot);
-        let dm = DiamMine::new(view, sigma, support).with_threads(threads);
+        let dm = DiamMine::new(MiningData::Snapshot(snapshot), sigma, support).with_threads(threads);
         let by_length = dm.mine_range(1, max_len);
         let mut cycles = BTreeMap::new();
         for (&len, paths) in &by_length {
@@ -351,7 +330,7 @@ impl MinimalPatternIndex {
     /// over a single graph ([`MinimalPatternIndex::build`]) — there is no
     /// transaction granularity to update at.
     pub fn update_database(&mut self, mutate: impl FnOnce(&mut GraphDatabase)) -> MineResult<u64> {
-        let OwnedData::Transactions(db) = &mut self.data else {
+        let Some(db) = &mut self.database else {
             return Err(MineError::InvalidInput {
                 reason: "update_database requires an index built over a transaction database".into(),
             });
@@ -399,10 +378,7 @@ impl MinimalPatternIndex {
             Vec::new()
         };
         let clusters = (path_seeds.len() + cycle_seeds.len()) as u64;
-        let serve_data = match config.representation {
-            Representation::Adjacency => self.data.view(),
-            Representation::CsrSnapshot => MiningData::Snapshot(&self.snapshot),
-        };
+        let serve_data = MiningData::Snapshot(&self.snapshot);
         // cost-ordered schedule, as in `SkinnyMine::grow_outcomes`: dispatch
         // the biggest cluster (most embedding rows) first so it cannot land
         // at the tail of the queue; merge back in seed order (paths first),
@@ -573,11 +549,14 @@ mod tests {
         let first = idx.request(&config).unwrap();
         let second = idx.request(&config).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "a cache hit must be a pointer-copy");
-        // thread count and representation normalize onto the same slot
+        // the thread count and the grow engine normalize onto the same slot
         let pooled = idx.request(&config.clone().with_threads(8)).unwrap();
         assert!(Arc::ptr_eq(&first, &pooled));
+        let reference =
+            idx.request(&config.clone().with_grow_engine(crate::config::GrowEngine::Reference)).unwrap();
+        assert!(Arc::ptr_eq(&first, &reference));
         let stats = idx.serving_stats();
-        assert_eq!((stats.hits, stats.misses, stats.mining_runs), (2, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.mining_runs), (3, 1, 1));
         assert_eq!(stats.cached_entries, 1);
         assert_eq!(stats.in_flight, 0);
     }

@@ -112,8 +112,8 @@ impl JoinPhaseStats {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MiningStats {
     /// Seconds spent freezing the input into per-transaction CSR snapshots
-    /// before Stage I (0 when the input was already a snapshot or mining ran
-    /// on the adjacency representation) — the front-of-pipeline ingest cost
+    /// before Stage I (0 when the input was already a snapshot) — the
+    /// front-of-pipeline ingest cost
     /// the stage timings never see.
     pub freeze_seconds: f64,
     /// Stage I (DiamMine): mining canonical diameters.

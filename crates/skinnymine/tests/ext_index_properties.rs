@@ -4,11 +4,13 @@
 //! data — the **same candidate set in the same sorted order**, and for every
 //! candidate the **same supporting rows in the same order** (gather output
 //! byte-identical to `extend_embeddings`).  The miner's byte-identity
-//! guarantee across engines, thread counts and representations rests on
+//! guarantee across engines and thread counts rests on
 //! exactly these two facts.
 
 use proptest::prelude::*;
-use skinny_graph::{Label, LabeledGraph, SupportBatch, SupportMeasure, SupportScratch, VertexId};
+use skinny_graph::{
+    CsrSnapshot, Label, LabeledGraph, SupportBatch, SupportMeasure, SupportScratch, VertexId,
+};
 use skinnymine::{
     DiamMine, Exploration, Extension, GrowEngine, GrowScratch, GrownPattern, LevelGrow, MiningData,
     ReportMode, SkinnyMine, SkinnyMineConfig,
@@ -47,8 +49,8 @@ fn sample_patterns(
     delta: u32,
     scratch: &mut GrowScratch,
 ) -> Vec<GrownPattern> {
-    let data = MiningData::Single(g);
-    let dm = DiamMine::new(data.clone(), 1, SupportMeasure::DistinctVertexSets);
+    let data = CsrSnapshot::from_graph(g);
+    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
     let mut patterns: Vec<GrownPattern> =
         dm.mine_exact(2).iter().map(GrownPattern::from_path_pattern).collect();
     let mut children = Vec::new();
@@ -87,9 +89,9 @@ proptest! {
 
     #[test]
     fn table_matches_reference_enumeration(g in any_graph(), delta in 0u32..3) {
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let config = SkinnyMineConfig::new(2, delta, 1).with_report(ReportMode::All);
-        let grower = LevelGrow::new(data.clone(), &config);
+        let grower = LevelGrow::new(MiningData::Snapshot(&data), &config);
         let mut scratch = GrowScratch::new();
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
             let reference: Vec<Extension> =
@@ -147,9 +149,9 @@ proptest! {
         // the retained per-candidate gather_into + support_with path, for
         // all four support measures, over every candidate of every sampled
         // pattern (siblings share one prepared parent, as in the engine).
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let config = SkinnyMineConfig::new(2, delta, 1).with_report(ReportMode::All);
-        let grower = LevelGrow::new(data.clone(), &config);
+        let grower = LevelGrow::new(MiningData::Snapshot(&data), &config);
         let mut scratch = GrowScratch::new();
         let mut batch = SupportBatch::new();
         let mut support_scratch = SupportScratch::new();
@@ -193,9 +195,9 @@ proptest! {
         // values, not just verdicts) and may return any value below the
         // threshold for a reject — both facts checked against the exhaustive
         // evaluator on the same prepared parent.
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let config = SkinnyMineConfig::new(2, delta, 1).with_report(ReportMode::All);
-        let grower = LevelGrow::new(data.clone(), &config);
+        let grower = LevelGrow::new(MiningData::Snapshot(&data), &config);
         let mut scratch = GrowScratch::new();
         let mut batch = SupportBatch::new();
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
@@ -255,9 +257,9 @@ proptest! {
         // the advanced pattern's occurrence rows byte-identically to the
         // reference full re-scan — the engine's byte-identity across
         // engines rests on it.
-        let data = MiningData::Single(&g);
+        let data = CsrSnapshot::from_graph(&g);
         let config = SkinnyMineConfig::new(2, delta, 1).with_report(ReportMode::All);
-        let grower = LevelGrow::new(data.clone(), &config);
+        let grower = LevelGrow::new(MiningData::Snapshot(&data), &config);
         let mut scratch = GrowScratch::new();
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
             scratch.ext.build(&pattern, &data, delta);

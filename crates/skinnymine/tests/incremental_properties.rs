@@ -4,15 +4,15 @@
 //! remove, in arbitrary interleavings — [`IncrementalMiner::refresh`] must
 //! produce output byte-identical (`Debug`-formatted patterns, embeddings
 //! and all) to a from-scratch [`SkinnyMine`] run over the mutated
-//! database, for every thread count in {1, 2, 8} and both data
-//! representations.  The miner under test is long-lived: one instance
+//! database, for every thread count in {1, 2, 8}.  The miner under test
+//! is long-lived: one instance
 //! absorbs every chunk of the sequence, so maintained Stage-I tables and
 //! reused Stage-II clusters are carried across many refreshes, exactly as
 //! a serving deployment would.
 
 use proptest::prelude::*;
 use skinny_graph::{GraphDatabase, Label, LabeledGraph, VertexId};
-use skinnymine::{IncrementalMiner, ReportMode, Representation, SkinnyMine, SkinnyMineConfig};
+use skinnymine::{IncrementalMiner, ReportMode, SkinnyMine, SkinnyMineConfig};
 
 /// One database update, with raw indices that get reduced modulo the
 /// database's current shape at application time, so every generated op is
@@ -118,24 +118,20 @@ fn apply(db: &mut GraphDatabase, op: &Op) {
     }
 }
 
-fn config_for(threads: usize, representation: Representation) -> SkinnyMineConfig {
-    SkinnyMineConfig::new(3, 2, 2)
-        .with_report(ReportMode::All)
-        .with_representation(representation)
-        .with_threads(threads)
+fn config_for(threads: usize) -> SkinnyMineConfig {
+    SkinnyMineConfig::new(3, 2, 2).with_report(ReportMode::All).with_threads(threads)
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-const REPRESENTATIONS: [Representation; 2] = [Representation::Adjacency, Representation::CsrSnapshot];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary update chunks against six long-lived incremental miners
-    /// (threads {1, 2, 8} × both representations): after every chunk, every
-    /// miner's refreshed result is byte-identical to a from-scratch mine of
-    /// the mutated database under its own configuration, and all six agree
-    /// with each other.
+    /// Arbitrary update chunks against three long-lived incremental miners
+    /// (threads {1, 2, 8}): after every chunk, every miner's refreshed
+    /// result is byte-identical to a from-scratch mine of the mutated
+    /// database under its own configuration, and all three agree with each
+    /// other.
     #[test]
     fn refresh_is_byte_identical_to_full_remine(
         initial in proptest::collection::vec(any_graph(), 1..4),
@@ -144,10 +140,8 @@ proptest! {
         let base = GraphDatabase::from_graphs(initial);
         let mut miners: Vec<IncrementalMiner> = THREAD_COUNTS
             .iter()
-            .flat_map(|&threads| REPRESENTATIONS.map(|r| (threads, r)))
-            .map(|(threads, r)| {
-                IncrementalMiner::new(config_for(threads, r), base.clone())
-                    .expect("a valid initial database mines")
+            .map(|&threads| {
+                IncrementalMiner::new(config_for(threads), base.clone()).expect("a valid initial database mines")
             })
             .collect();
         let mut mirror = base;
@@ -182,15 +176,15 @@ proptest! {
                 let got = format!("{:?}", miner.refresh().expect("refresh succeeds").patterns);
                 prop_assert_eq!(
                     &got, want,
-                    "round {}: miner {} (threads {}, {:?}) diverged from a full re-mine",
-                    round, m, miner.config().threads, miner.config().representation
+                    "round {}: miner {} (threads {}) diverged from a full re-mine",
+                    round, m, miner.config().threads
                 );
             }
             let first = format!("{:?}", miners[0].result().patterns);
             for miner in &miners[1..] {
                 prop_assert_eq!(
                     &format!("{:?}", miner.result().patterns), &first,
-                    "thread counts / representations disagree after round {}", round
+                    "thread counts disagree after round {}", round
                 );
             }
         }

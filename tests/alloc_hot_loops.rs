@@ -11,11 +11,14 @@
 //! This binary installs a counting `#[global_allocator]` and drives the
 //! three hot loops over fixtures with hundreds of scanned rows and zero (or
 //! one) emitted patterns, asserting the allocation-event count stays far
-//! below the scanned-row count.  Everything runs inside one `#[test]` so no
-//! concurrent test thread can pollute the counter.
+//! below the scanned-row count.  Each fixture graph is frozen into a CSR
+//! snapshot once, outside the counted region, and the snapshot is what the
+//! loops read — the form every production run mines.  Everything runs
+//! inside one `#[test]` so no concurrent test thread can pollute the
+//! counter.
 
 use skinny_graph::{
-    CanonSet, GroupSorter, Label, LabeledGraph, SnapshotBuilder, SupportBatch, SupportMeasure,
+    CanonSet, CsrSnapshot, GroupSorter, Label, LabeledGraph, SnapshotBuilder, SupportBatch, SupportMeasure,
     SupportScratch, VertexId, VertexMarks,
 };
 use skinnymine::diam_mine::LadderLevel;
@@ -103,8 +106,8 @@ fn labeled_paths_graph(n: u32) -> LabeledGraph {
 #[test]
 fn hot_loops_allocate_per_pattern_not_per_row() {
     // ---- Stage I concat: reject path ------------------------------------
-    let g = matching_graph(300);
-    let dm = DiamMine::new(MiningData::Single(&g), 1, SupportMeasure::DistinctVertexSets);
+    let snapshot = CsrSnapshot::from_graph(&matching_graph(300));
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
     let len1 = dm.frequent_edges();
     assert_eq!(len1.len(), 1);
     let scanned_rows = 2 * len1[0].embeddings.len() as u64; // both orientations
@@ -119,8 +122,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     );
 
     // ---- Stage I merge: reject path -------------------------------------
-    let g = triangles_graph(200);
-    let dm = DiamMine::new(MiningData::Single(&g), 1, SupportMeasure::DistinctVertexSets);
+    let snapshot = CsrSnapshot::from_graph(&triangles_graph(200));
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
     let len2 = dm.concat_double(&dm.frequent_edges());
     assert_eq!(len2.len(), 1, "all length-2 paths share the all-zero label pattern");
     let scanned_rows = 2 * len2[0].embeddings.len() as u64;
@@ -173,9 +176,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     );
 
     // ---- Stage II extension enumeration: reject path --------------------
-    let g = matching_graph(300);
-    let data = MiningData::Single(&g);
-    let dm = DiamMine::new(data.clone(), 1, SupportMeasure::DistinctVertexSets);
+    let data = CsrSnapshot::from_graph(&matching_graph(300));
+    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
     let len1 = dm.frequent_edges();
     let pattern = GrownPattern::from_path_pattern(&len1[0]);
     let rows = pattern.embeddings.len() as u64;
@@ -196,9 +198,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // 200 rows feed one candidate; a warm rebuild (the gather engine's
     // per-pattern work, and the entire reject path when the candidate is
     // bound-pruned below sigma) must allocate per candidate, never per row
-    let g = labeled_paths_graph(200);
-    let data = MiningData::Single(&g);
-    let dm = DiamMine::new(data.clone(), 1, SupportMeasure::DistinctVertexSets);
+    let data = CsrSnapshot::from_graph(&labeled_paths_graph(200));
+    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
     let len1 = dm.frequent_edges();
     let pattern = GrownPattern::from_path_pattern(&len1[0]);
     let rows = pattern.embeddings.len() as u64;
@@ -355,8 +356,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // rebuilding a candidate's structural extension into warm per-worker
     // scratch must stay allocation-free apart from the extended graph's
     // single new adjacency entry
-    let g = labeled_paths_graph(1);
-    let dm = DiamMine::new(MiningData::Single(&g), 1, SupportMeasure::DistinctVertexSets);
+    let snapshot = CsrSnapshot::from_graph(&labeled_paths_graph(1));
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
     let pattern = GrownPattern::from_path_pattern(&dm.frequent_edges()[0]);
     let ext = Extension::NewVertex { attach: 0, vertex_label: l(9), edge_label: Label::DEFAULT_EDGE };
     let chord = Extension::ClosingEdge { u: 0, v: 1, edge_label: Label::DEFAULT_EDGE };
@@ -440,8 +441,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     );
 
     // ---- accept path: allocation tracks emitted patterns ----------------
-    let g = labeled_paths_graph(200);
-    let dm = DiamMine::new(MiningData::Single(&g), 1, SupportMeasure::DistinctVertexSets);
+    let snapshot = CsrSnapshot::from_graph(&labeled_paths_graph(200));
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
     let len1 = dm.frequent_edges();
     assert_eq!(len1.len(), 2);
     let scanned_rows = 2 * rows_of(&len1);

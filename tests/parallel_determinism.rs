@@ -1,15 +1,16 @@
 //! Workspace-level determinism guarantee of the parallel mining engine:
-//! for any thread count **and for either data representation**
-//! (adjacency lists or the columnar CSR snapshot), `SkinnyMine` must produce
-//! **byte-identical** results — same patterns, same order, same embeddings —
-//! because Stage I's chunked occurrence joins and Stage II's per-seed
-//! cluster growth both merge their partial results in deterministic task
-//! order, and both representations share one neighbor/edge iteration order.
+//! for any thread count **and for either input form** (the adjacency-list
+//! graph or database, or a pre-frozen CSR snapshot of it), `SkinnyMine`
+//! must produce **byte-identical** results — same patterns, same order,
+//! same embeddings — because Stage I's chunked occurrence joins and Stage
+//! II's per-seed cluster growth both merge their partial results in
+//! deterministic task order, and every input form is mined as the same
+//! snapshot.
 
 use skinny_datagen::{erdos_renyi, inject_patterns, skinny_pattern, ErConfig, SkinnyPatternConfig};
-use skinny_graph::{canonical_key, LabeledGraph};
+use skinny_graph::{CsrSnapshot, LabeledGraph};
 use skinnymine::{
-    Exploration, LengthConstraint, MiningResult, ReportMode, Representation, SkinnyMine, SkinnyMineConfig,
+    Exploration, LengthConstraint, MiningData, MiningResult, ReportMode, SkinnyMine, SkinnyMineConfig,
 };
 
 /// An Erdős–Rényi background with a known skinny pattern injected twice.
@@ -19,57 +20,52 @@ fn injected_er_graph() -> LabeledGraph {
     inject_patterns(&background, &[(pattern, 2)], 3).graph
 }
 
-/// A full, order-sensitive fingerprint of a mining result: canonical key,
-/// cluster identity, support flags and the exact embedding lists of every
-/// pattern, in reported order.
-fn fingerprint(result: &MiningResult) -> Vec<String> {
-    result
-        .patterns
-        .iter()
-        .map(|p| {
-            format!(
-                "{:?}|{:?}|{}|{}|{}|{:?}",
-                canonical_key(&p.graph),
-                p.diameter_labels,
-                p.support,
-                p.closed,
-                p.maximal,
-                p.embeddings.embeddings,
-            )
-        })
-        .collect()
+/// The full, order-sensitive `Debug` rendering of a result's patterns:
+/// graphs, cluster identity, support flags, exact embedding lists and
+/// memoized canonical data, in reported order.
+fn pattern_bytes(result: &MiningResult) -> String {
+    format!("{:?}", result.patterns)
 }
 
-fn assert_thread_invariant(config: SkinnyMineConfig, graph: &LabeledGraph) {
-    let baseline =
-        SkinnyMine::new(config.clone().with_threads(1).with_representation(Representation::Adjacency))
-            .mine(graph)
-            .expect("mining succeeds");
+/// Mines with 1, 2 and 8 threads, from the adjacency-list input (`mine`)
+/// and from its pre-frozen snapshot (`mine_frozen`), and holds every run
+/// byte-identical to the sequential adjacency-list run.
+fn assert_invariant(
+    config: &SkinnyMineConfig,
+    mine: impl Fn(&SkinnyMine) -> MiningResult,
+    mine_frozen: impl Fn(&SkinnyMine) -> MiningResult,
+) {
+    let baseline = mine(&SkinnyMine::new(config.clone().with_threads(1)));
     assert!(!baseline.is_empty(), "fixture must produce patterns for the comparison to mean anything");
-    for representation in [Representation::Adjacency, Representation::CsrSnapshot] {
-        for threads in [1usize, 2, 8] {
-            if representation == Representation::Adjacency && threads == 1 {
-                continue; // that is the baseline itself
-            }
-            let run =
-                SkinnyMine::new(config.clone().with_threads(threads).with_representation(representation))
-                    .mine(graph)
-                    .expect("mining succeeds");
+    for threads in [1usize, 2, 8] {
+        let miner = SkinnyMine::new(config.clone().with_threads(threads));
+        let mut runs = vec![("pre-frozen snapshot", mine_frozen(&miner))];
+        if threads > 1 {
+            runs.push(("adjacency-list input", mine(&miner)));
+        }
+        for (input, run) in runs {
             assert_eq!(
-                fingerprint(&baseline),
-                fingerprint(&run),
-                "threads = {threads}, representation = {representation:?} diverged from the \
-                 sequential adjacency result"
+                pattern_bytes(&baseline),
+                pattern_bytes(&run),
+                "threads = {threads}, {input} diverged from the sequential result"
             );
             assert_eq!(baseline.stats.clusters, run.stats.clusters);
             assert_eq!(baseline.stats.reported_patterns, run.stats.reported_patterns);
             assert_eq!(
                 baseline.stats.level_grow.candidates_examined, run.stats.level_grow.candidates_examined,
-                "threads = {threads}, representation = {representation:?}: ordered merge must \
-                 reproduce the sequential counters"
+                "threads = {threads}, {input}: ordered merge must reproduce the sequential counters"
             );
         }
     }
+}
+
+fn assert_thread_invariant(config: SkinnyMineConfig, graph: &LabeledGraph) {
+    let snapshot = CsrSnapshot::from_graph(graph);
+    assert_invariant(
+        &config,
+        |miner| miner.mine(graph).expect("mining succeeds"),
+        |miner| miner.mine_data(MiningData::Snapshot(&snapshot)).expect("mining succeeds"),
+    );
 }
 
 #[test]
@@ -103,24 +99,10 @@ fn transaction_setting_is_thread_invariant() {
         .with_support_measure(skinny_graph::SupportMeasure::Transactions)
         .with_report(ReportMode::Closed)
         .with_exploration(Exploration::ClosureJump);
-    let baseline =
-        SkinnyMine::new(config.clone().with_threads(1).with_representation(Representation::Adjacency))
-            .mine_database(&db)
-            .expect("mining succeeds");
-    for representation in [Representation::Adjacency, Representation::CsrSnapshot] {
-        for threads in [1usize, 2, 8] {
-            if representation == Representation::Adjacency && threads == 1 {
-                continue;
-            }
-            let run =
-                SkinnyMine::new(config.clone().with_threads(threads).with_representation(representation))
-                    .mine_database(&db)
-                    .expect("mining succeeds");
-            assert_eq!(
-                fingerprint(&baseline),
-                fingerprint(&run),
-                "threads = {threads}, representation = {representation:?}"
-            );
-        }
-    }
+    let snapshot = CsrSnapshot::from_database(&db);
+    assert_invariant(
+        &config,
+        |miner| miner.mine_database(&db).expect("mining succeeds"),
+        |miner| miner.mine_data(MiningData::Snapshot(&snapshot)).expect("mining succeeds"),
+    );
 }
