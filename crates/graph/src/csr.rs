@@ -30,10 +30,13 @@
 //! sort-based build is retained as [`CsrGraph::from_graph_reference`] — the
 //! parity oracle and ingest-benchmark baseline.
 
+use crate::error::GraphResult;
 use crate::graph::{LabeledGraph, VertexId};
 use crate::label::Label;
+use crate::transaction::GraphDatabase;
 use crate::view::{GraphView, Neighbors};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// The canonical `(min endpoint label, edge label, max endpoint label)` key
 /// of an undirected labeled edge.
@@ -538,7 +541,7 @@ impl CsrSnapshot {
     }
 
     /// Snapshot of every transaction of a database, in transaction order.
-    pub fn from_database(db: &crate::transaction::GraphDatabase) -> Self {
+    pub fn from_database(db: &GraphDatabase) -> Self {
         Self::from_database_with_threads(db, 1)
     }
 
@@ -552,7 +555,7 @@ impl CsrSnapshot {
     /// transaction's graph, so the result is **byte-identical** to the
     /// serial build for every thread count (property-tested in
     /// `crates/graph/tests/csr_properties.rs`).
-    pub fn from_database_with_threads(db: &crate::transaction::GraphDatabase, threads: usize) -> Self {
+    pub fn from_database_with_threads(db: &GraphDatabase, threads: usize) -> Self {
         let n = db.len();
         let graphs = if threads <= 1 || n < 2 {
             let mut builder = SnapshotBuilder::new();
@@ -628,6 +631,30 @@ impl CsrSnapshot {
         assert!(self.transactional, "cannot append a transaction to a single-graph snapshot");
         self.graphs.push(builder.build(g));
         self.graphs.len() - 1
+    }
+
+    /// Brings a transactional snapshot of `db` back in line after the
+    /// transactions in `dirty` (drained by [`GraphDatabase::take_dirty`])
+    /// changed: each one already in the snapshot is re-frozen in place
+    /// ([`CsrSnapshot::refreeze_transaction`]), each new one is appended.
+    /// `dirty` ascends, so appended transactions arrive in index order.
+    /// Errors when a dirty index lies outside `db`.
+    pub fn refreeze_dirty(
+        &mut self,
+        db: &GraphDatabase,
+        dirty: &BTreeSet<usize>,
+        builder: &mut SnapshotBuilder,
+    ) -> GraphResult<()> {
+        for &t in dirty {
+            let g = db.get(t)?;
+            if t < self.len() {
+                self.refreeze_transaction(t, g, builder);
+            } else {
+                let appended = self.push_transaction(g, builder);
+                debug_assert_eq!(appended, t, "appended transactions arrive in index order");
+            }
+        }
+        Ok(())
     }
 }
 
@@ -748,7 +775,7 @@ mod tests {
         let h = LabeledGraph::from_unlabeled_edges(&[l(3), l(4), l(3)], [(0u32, 1u32), (1, 2)]).unwrap();
         let graphs: Vec<LabeledGraph> =
             (0..13).map(|i| if i % 3 == 0 { g.clone() } else { h.clone() }).collect();
-        let db = crate::transaction::GraphDatabase::from_graphs(graphs);
+        let db = GraphDatabase::from_graphs(graphs);
         let serial = CsrSnapshot::from_database(&db);
         for threads in [1, 2, 8] {
             assert_eq!(CsrSnapshot::from_database_with_threads(&db, threads), serial);
@@ -760,7 +787,7 @@ mod tests {
     fn refreeze_matches_full_rebuild() {
         let g = graph();
         let h = LabeledGraph::from_unlabeled_edges(&[l(3), l(4), l(3)], [(0u32, 1u32), (1, 2)]).unwrap();
-        let mut db = crate::transaction::GraphDatabase::from_graphs(vec![g.clone(), h.clone(), g.clone()]);
+        let mut db = GraphDatabase::from_graphs(vec![g.clone(), h.clone(), g.clone()]);
         let mut snapshot = CsrSnapshot::from_database(&db);
         let mut builder = SnapshotBuilder::new();
 
@@ -780,6 +807,16 @@ mod tests {
         snapshot.refreeze_transaction(0, &db[0], &mut builder);
         assert_eq!(snapshot.graph(0).vertex_count(), 0);
         assert_eq!(snapshot, CsrSnapshot::from_database(&db));
+
+        // a whole drained dirty set at once: an in-place edit and an append
+        db.clear_dirty();
+        db.add_edge_in(2, VertexId(1), VertexId(3), l(9)).unwrap();
+        db.add_transaction(g.clone());
+        let dirty = db.take_dirty();
+        snapshot.refreeze_dirty(&db, &dirty, &mut builder).unwrap();
+        assert_eq!(snapshot, CsrSnapshot::from_database(&db));
+        let outside = BTreeSet::from([db.len()]);
+        assert!(snapshot.refreeze_dirty(&db, &outside, &mut builder).is_err());
     }
 
     #[test]
@@ -799,12 +836,12 @@ mod tests {
         assert!(!s.is_empty());
         assert!(!s.is_transactional());
         assert!(s.graph(0).parity_with(&g));
-        let db = crate::transaction::GraphDatabase::from_graphs(vec![g.clone(), g.clone()]);
+        let db = GraphDatabase::from_graphs(vec![g.clone(), g.clone()]);
         let s2 = CsrSnapshot::from_database(&db);
         assert_eq!(s2.len(), 2);
         assert!(s2.is_transactional());
         // the setting survives the freeze even for a one-transaction database
-        let one = crate::transaction::GraphDatabase::from_graphs(vec![g.clone()]);
+        let one = GraphDatabase::from_graphs(vec![g.clone()]);
         assert!(CsrSnapshot::from_database(&one).is_transactional());
         assert_eq!(s2.iter().count(), 2);
         assert!(s2.iter().all(|(_, c)| c.parity_with(&g)));

@@ -42,11 +42,12 @@ use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
 use crate::level_grow::{ClusterOutcome, Seed};
-use crate::miner::SkinnyMine;
+use crate::miner::{fold_outcomes, miner_order, SkinnyMine};
 use crate::path_pattern::{PathKey, PatternTable};
 use crate::result::MiningResult;
 use crate::stats::MiningStats;
 use skinny_graph::{CsrSnapshot, GraphDatabase, OccurrenceStore, SnapshotBuilder};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -60,7 +61,7 @@ enum SeedKey {
 }
 
 impl SeedKey {
-    fn of(seed: &Seed) -> SeedKey {
+    fn of(seed: Seed<'_>) -> SeedKey {
         match seed {
             Seed::Path(p) => SeedKey::Path(p.key.clone()),
             Seed::Cycle(c) => SeedKey::Cycle(c.key.clone()),
@@ -68,23 +69,14 @@ impl SeedKey {
     }
 }
 
-/// One cached cluster: the seed it was grown from, the sorted distinct
-/// transactions of the seed's embeddings (the per-transaction index the
-/// dirty-set intersection runs against), and the grown outcome.
+/// One cached cluster: the embeddings of the seed it was grown from, their
+/// sorted distinct transactions (the per-transaction index the dirty-set
+/// intersection runs against), and the grown outcome.
 #[derive(Debug, Clone)]
 struct CachedCluster {
-    seed: Seed,
+    embeddings: OccurrenceStore,
     txns: Vec<u32>,
     outcome: ClusterOutcome,
-}
-
-impl CachedCluster {
-    fn embeddings(&self) -> &OccurrenceStore {
-        match &self.seed {
-            Seed::Path(p) => &p.embeddings,
-            Seed::Cycle(c) => &c.embeddings,
-        }
-    }
 }
 
 /// True when the sorted transaction list and the dirty set share no element.
@@ -141,47 +133,29 @@ impl IncrementalMiner {
             return Err(MineError::InvalidInput { reason: "the input data contains no vertices".into() });
         }
         db.clear_dirty();
-        let miner = SkinnyMine::new(config.clone());
-        let builder = SnapshotBuilder::new();
         let mut stats = MiningStats::default();
         let tf = Instant::now();
         let snapshot = CsrSnapshot::from_database_with_threads(&db, config.threads);
         stats.freeze_seconds = tf.elapsed().as_secs_f64();
 
-        // Stage I, keeping the unfiltered level-1 table for maintenance.
+        // the unfiltered level-1 table, kept for maintenance
         let t0 = Instant::now();
-        let dm = DiamMine::new(MiningData::Snapshot(&snapshot), config.sigma, config.support)
-            .with_threads(config.threads);
-        let level1 = dm.level1_table();
-        let finalized = dm.finalize(level1.clone_frequent(config.sigma, config.support));
-        let seeds = miner.mine_seeds(&snapshot, Some(finalized), &mut stats);
+        let level1 = DiamMine::new(MiningData::Snapshot(&snapshot), config.sigma, config.support)
+            .with_threads(config.threads)
+            .level1_table();
         stats.diam_mine.duration = t0.elapsed();
-        stats.diam_mine.patterns_out = seeds.len() as u64;
-        stats.clusters = seeds.len() as u64;
 
-        // Stage II, caching every cluster's outcome.
-        let t1 = Instant::now();
-        let outcomes = miner.grow_outcomes(&snapshot, &seeds, &mut stats);
-        let had_cycle_seeds = seeds.iter().any(|s| matches!(s, Seed::Cycle(_)));
-        let mut patterns = Vec::new();
-        let mut clusters = HashMap::with_capacity(seeds.len());
-        let mut txn_scratch = Vec::new();
-        for (seed, outcome) in seeds.into_iter().zip(outcomes) {
-            stats.merge(&outcome.stats);
-            stats.level_grow.candidates_examined += outcome.examined;
-            patterns.extend(outcome.patterns.iter().cloned());
-            let mut cached = CachedCluster { txns: Vec::new(), seed, outcome };
-            cached.embeddings().distinct_transactions_into(&mut txn_scratch);
-            cached.txns = txn_scratch.clone();
-            clusters.insert(SeedKey::of(&cached.seed), cached);
-        }
-        stats.level_grow.duration = t1.elapsed();
-        let patterns = miner.finish(patterns, had_cycle_seeds, &mut stats);
-        // release the borrow of `snapshot` before moving it into the miner
-        drop(dm);
-
-        let last = MiningResult { patterns, stats };
-        Ok(IncrementalMiner { miner, db, snapshot, builder, level1, clusters, last })
+        let mut inc = IncrementalMiner {
+            miner: SkinnyMine::new(config),
+            db,
+            snapshot,
+            builder: SnapshotBuilder::new(),
+            level1,
+            clusters: HashMap::new(),
+            last: MiningResult::default(),
+        };
+        inc.last = inc.mine_maintained(&BTreeSet::new(), stats);
+        Ok(inc)
     }
 
     /// The owned database.  Mutate it through
@@ -217,7 +191,7 @@ impl IncrementalMiner {
         let clusters: usize = self
             .clusters
             .values()
-            .map(|c| c.embeddings().heap_bytes() + c.txns.capacity() * std::mem::size_of::<u32>())
+            .map(|c| c.embeddings.heap_bytes() + c.txns.capacity() * std::mem::size_of::<u32>())
             .sum();
         snapshot + self.level1.heap_bytes() + clusters
     }
@@ -229,35 +203,32 @@ impl IncrementalMiner {
     /// With no pending updates this is a no-op returning the cached result —
     /// it performs **zero heap allocations** (pinned in
     /// `tests/alloc_hot_loops.rs`).
+    ///
+    /// Errors with [`MineError::InvalidInput`] when the database holds no
+    /// vertex, as [`SkinnyMine::mine_database`] does.  The pending updates
+    /// stay pending, so the next refresh after the database is filled again
+    /// folds in every change.
     pub fn refresh(&mut self) -> MineResult<&MiningResult> {
-        let dirty = self.db.take_dirty();
-        if dirty.is_empty() {
+        if self.db.is_clean() {
             return Ok(&self.last);
         }
+        if self.db.total_vertices() == 0 {
+            return Err(MineError::InvalidInput { reason: "the input data contains no vertices".into() });
+        }
+        let dirty = self.db.take_dirty();
         let tm = Instant::now();
-        let config = self.miner.config().clone();
+        let config = self.miner.config();
         let mut stats = MiningStats::default();
 
         // 1. Snapshot delta: re-freeze exactly the dirty transactions.
         let tf = Instant::now();
-        for &t in &dirty {
-            let g = self.db.get(t)?;
-            if t < self.snapshot.len() {
-                self.snapshot.refreeze_transaction(t, g, &mut self.builder);
-            } else {
-                // BTreeSet iteration ascends, so appended transactions
-                // arrive in index order.
-                let appended = self.snapshot.push_transaction(g, &mut self.builder);
-                debug_assert_eq!(appended, t);
-            }
-        }
+        self.snapshot.refreeze_dirty(&self.db, &dirty, &mut self.builder)?;
         stats.freeze_seconds = tf.elapsed().as_secs_f64();
-        let snapshot = &self.snapshot;
 
-        // 2. Stage-I delta: retain clean rows, re-seed dirty transactions,
-        //    stitch in transaction order, then finalize the maintained table.
+        // 2. Level-1 delta: retain clean rows, re-seed dirty transactions
+        //    and stitch them back in transaction order.
         let t0 = Instant::now();
-        let dm = DiamMine::new(MiningData::Snapshot(snapshot), config.sigma, config.support)
+        let dm = DiamMine::new(MiningData::Snapshot(&self.snapshot), config.sigma, config.support)
             .with_threads(config.threads);
         // BTreeSet iteration ascends, matching remove_transactions' contract;
         // slots untouched by the delta are skipped without a row scan.
@@ -265,74 +236,91 @@ impl IncrementalMiner {
         self.level1.remove_transactions(&dirty_txns);
         let mut partial = PatternTable::new();
         for &t in &dirty {
-            if t < snapshot.len() {
+            if t < self.snapshot.len() {
                 dm.seed_transactions(t..t + 1, &mut partial);
             }
         }
         self.level1.merge_by_transaction(partial);
+        stats.diam_mine.duration = t0.elapsed();
+
+        // 3. The ladder over the maintained table, and Stage II reusing the
+        //    clusters the delta left untouched.
+        let mut result = self.mine_maintained(&dirty, stats);
+        result.stats.transactions_dirty = dirty.len() as u64;
+        result.stats.maintain_seconds = tm.elapsed().as_secs_f64();
+        self.last = result;
+        Ok(&self.last)
+    }
+
+    /// The tail shared by [`IncrementalMiner::new`] (with an empty cluster
+    /// cache and no dirty transaction) and [`IncrementalMiner::refresh`]:
+    /// Stage I from the maintained level-1 table, then Stage II reusing every
+    /// cached cluster whose seed embeddings are unchanged and touch no
+    /// `dirty` transaction and re-growing the rest, all folded in seed order
+    /// and finished exactly as [`SkinnyMine::mine_data`] finishes.  Rebuilds
+    /// the cluster cache for the next refresh.
+    fn mine_maintained(&mut self, dirty: &BTreeSet<usize>, mut stats: MiningStats) -> MiningResult {
+        let IncrementalMiner { miner, snapshot, level1, clusters, .. } = self;
+        let config = miner.config();
+        let t0 = Instant::now();
+        let dm = DiamMine::new(MiningData::Snapshot(snapshot), config.sigma, config.support)
+            .with_threads(config.threads);
         // σ-filter before cloning: the read of the maintained table costs
         // O(frequent set), not O(corpus)
-        let finalized = dm.finalize(self.level1.clone_frequent(config.sigma, config.support));
-        let seeds = self.miner.mine_seeds(snapshot, Some(finalized), &mut stats);
-        stats.diam_mine.duration = t0.elapsed();
-        stats.diam_mine.patterns_out = seeds.len() as u64;
-        stats.clusters = seeds.len() as u64;
+        let finalized = dm.finalize(level1.clone_frequent(config.sigma, config.support));
+        let seed_set = miner.mine_seeds(snapshot, Some(finalized), &mut stats);
+        stats.diam_mine.duration += t0.elapsed();
+        stats.diam_mine.patterns_out = seed_set.len() as u64;
+        stats.clusters = seed_set.len() as u64;
 
-        // 3. Stage-II delta: reuse every cluster whose seed embeddings are
-        //    unchanged and touch no dirty transaction; re-grow the rest.
         let t1 = Instant::now();
-        let mut reusable = vec![false; seeds.len()];
-        let mut regrow: Vec<Seed> = Vec::new();
-        for (i, seed) in seeds.iter().enumerate() {
-            let embeddings = match seed {
-                Seed::Path(p) => &p.embeddings,
-                Seed::Cycle(c) => &c.embeddings,
-            };
-            reusable[i] = self
-                .clusters
-                .get(&SeedKey::of(seed))
-                .is_some_and(|c| disjoint(&c.txns, &dirty) && c.embeddings() == embeddings);
-            if !reusable[i] {
-                regrow.push(seed.clone());
-            }
-        }
-        let fresh = self.miner.grow_outcomes(snapshot, &regrow, &mut stats);
-        let had_cycle_seeds = seeds.iter().any(|s| matches!(s, Seed::Cycle(_)));
+        let seeds = seed_set.as_seeds();
+        let keys: Vec<SeedKey> = seeds.iter().map(|&seed| SeedKey::of(seed)).collect();
+        let reused: Vec<bool> = seeds
+            .iter()
+            .zip(&keys)
+            .map(|(seed, key)| {
+                clusters
+                    .get(key)
+                    .is_some_and(|c| disjoint(&c.txns, dirty) && &c.embeddings == seed.embeddings())
+            })
+            .collect();
+        let regrow: Vec<Seed<'_>> =
+            seeds.iter().zip(&reused).filter(|(_, &reuse)| !reuse).map(|(&seed, _)| seed).collect();
+        let fresh = miner.grow_outcomes(snapshot, &regrow, &mut stats);
+        let mut fresh_in_order = fresh.iter();
+        let outcomes = keys.iter().zip(&reused).map(|(key, &reuse)| {
+            Cow::Borrowed(if reuse {
+                &clusters[key].outcome
+            } else {
+                fresh_in_order.next().expect("one fresh outcome per re-grown seed")
+            })
+        });
+        let patterns = fold_outcomes(outcomes, &mut stats);
+        stats.level_grow.duration = t1.elapsed();
+        let patterns = miner.finish(patterns, !seed_set.cycles.is_empty(), miner_order, &mut stats);
 
-        // Fold outcomes in seed order — identical to a from-scratch run —
-        // and rebuild the cluster cache for the next refresh.
+        // the seeds are no longer borrowed: their embeddings move into the
+        // rebuilt cache
+        let embeddings = seed_set.paths.into_iter().map(|p| p.embeddings);
+        let embeddings = embeddings.chain(seed_set.cycles.into_iter().map(|c| c.embeddings));
         let mut fresh = fresh.into_iter();
-        let mut patterns = Vec::new();
-        let mut clusters = HashMap::with_capacity(seeds.len());
+        let mut next = HashMap::with_capacity(keys.len());
         let mut txn_scratch = Vec::new();
-        for (i, seed) in seeds.into_iter().enumerate() {
-            let key = SeedKey::of(&seed);
-            let cached = if reusable[i] {
+        for ((key, embeddings), reuse) in keys.into_iter().zip(embeddings).zip(reused) {
+            let cached = if reuse {
                 stats.clusters_reused += 1;
-                let mut cached = self.clusters.remove(&key).expect("reusable clusters are cached");
-                cached.seed = seed;
-                cached
+                clusters.remove(&key).expect("reusable clusters are cached")
             } else {
                 stats.clusters_regrown += 1;
                 let outcome = fresh.next().expect("one fresh outcome per re-grown seed");
-                let mut cached = CachedCluster { seed, txns: Vec::new(), outcome };
-                cached.embeddings().distinct_transactions_into(&mut txn_scratch);
-                cached.txns = txn_scratch.clone();
-                cached
+                embeddings.distinct_transactions_into(&mut txn_scratch);
+                CachedCluster { embeddings, txns: txn_scratch.clone(), outcome }
             };
-            stats.merge(&cached.outcome.stats);
-            stats.level_grow.candidates_examined += cached.outcome.examined;
-            patterns.extend(cached.outcome.patterns.iter().cloned());
-            clusters.insert(key, cached);
+            next.insert(key, cached);
         }
-        stats.level_grow.duration = t1.elapsed();
-        let patterns = self.miner.finish(patterns, had_cycle_seeds, &mut stats);
-
-        stats.transactions_dirty = dirty.len() as u64;
-        stats.maintain_seconds = tm.elapsed().as_secs_f64();
-        self.clusters = clusters;
-        self.last = MiningResult { patterns, stats };
-        Ok(&self.last)
+        *clusters = next;
+        MiningResult { patterns, stats }
     }
 }
 
@@ -486,6 +474,29 @@ mod tests {
             inc.refresh().unwrap();
             assert_parity(&inc);
         }
+    }
+
+    #[test]
+    fn refresh_of_an_emptied_database_is_rejected_and_keeps_the_updates() {
+        let db = GraphDatabase::from_graphs(vec![backbone(true), backbone(true)]);
+        let mut inc = IncrementalMiner::new(config(), db).unwrap();
+        inc.database_mut().remove_transaction(0).unwrap();
+        inc.database_mut().remove_transaction(1).unwrap();
+        let direct = SkinnyMine::new(config()).mine_database(inc.database()).unwrap_err();
+        assert!(matches!(direct, MineError::InvalidInput { .. }));
+        let err = inc.refresh().unwrap_err();
+        assert!(
+            matches!(err, MineError::InvalidInput { .. }),
+            "refresh must reject what mine_database rejects"
+        );
+
+        // refilling only transaction 1 must not hide transaction 0's
+        // removal: with one backbone left, nothing reaches σ = 2
+        inc.database_mut().replace_transaction(1, backbone(true)).unwrap();
+        let result = inc.refresh().unwrap();
+        assert_eq!(result.stats.transactions_dirty, 2);
+        assert!(result.is_empty());
+        assert_parity(&inc);
     }
 
     #[test]

@@ -40,7 +40,6 @@ use crate::grown::{Extension, GrowScratch, GrownPattern, StructScratch};
 use crate::path_pattern::PathPattern;
 use crate::result::SkinnyPattern;
 use crate::stats::MiningStats;
-use serde::{Deserialize, Serialize};
 use skinny_graph::{
     CsrSnapshot, DfsCode, EmbeddingSet, OccurrenceStore, SupportBatch, SupportMeasure, SupportScratch,
     VertexId, VertexMarks,
@@ -102,46 +101,32 @@ impl PhaseTicks {
 }
 
 /// A Stage-I seed for Stage-II growth: a canonical-diameter path, or a
-/// minimal odd cycle `C_{2l+1}` (which no path seed can reach).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Seed {
+/// minimal odd cycle `C_{2l+1}` (which no path seed can reach), borrowed
+/// from wherever the entry point keeps its seeds — a fresh Stage-I run, the
+/// pre-computed index, or the incremental miner's re-grown clusters.
+#[derive(Debug, Clone, Copy)]
+pub enum Seed<'a> {
     /// A frequent simple path of admissible length.
-    Path(PathPattern),
+    Path(&'a PathPattern),
     /// A frequent minimal odd cycle.
-    Cycle(CyclePattern),
+    Cycle(&'a CyclePattern),
 }
 
-impl Seed {
-    /// The level-0 grown pattern of this seed's cluster.
-    pub fn root(&self) -> GrownPattern {
-        match self {
-            Seed::Path(p) => GrownPattern::from_path_pattern(p),
-            Seed::Cycle(c) => GrownPattern::from_cycle(c),
-        }
-    }
-
-    /// The canonical-diameter length of the cluster.
-    pub fn diameter_len(&self) -> usize {
-        match self {
-            Seed::Path(p) => p.len(),
-            Seed::Cycle(c) => c.diameter_len(),
-        }
-    }
-
+impl<'a> Seed<'a> {
     /// Seed support under the chosen measure.
-    pub fn support(&self, measure: SupportMeasure) -> usize {
+    pub fn support(self, measure: SupportMeasure) -> usize {
         match self {
             Seed::Path(p) => p.support(measure),
             Seed::Cycle(c) => c.support(measure),
         }
     }
 
-    /// Number of embedding rows of the seed — the cost proxy the parallel
-    /// scheduler uses to dispatch expensive clusters first.
-    pub fn embedding_rows(&self) -> usize {
+    /// The seed's embedding rows.  Their count is the cost proxy the
+    /// parallel scheduler uses to dispatch expensive clusters first.
+    pub fn embeddings(self) -> &'a OccurrenceStore {
         match self {
-            Seed::Path(p) => p.embeddings.len(),
-            Seed::Cycle(c) => c.embeddings.len(),
+            Seed::Path(p) => &p.embeddings,
+            Seed::Cycle(c) => &c.embeddings,
         }
     }
 }
@@ -184,23 +169,18 @@ impl<'a> LevelGrow<'a> {
         self.grow_root(GrownPattern::from_path_pattern(seed), scratch)
     }
 
-    /// Grows the cluster of any Stage-I seed — path or minimal cycle.
-    pub fn grow_seed(&self, seed: &Seed) -> ClusterOutcome {
-        self.grow_seed_with(seed, &mut GrowScratch::new())
+    /// Grows the cluster of any Stage-I seed — path or minimal cycle — with
+    /// caller-provided (typically per-worker) scratch tables, reused across
+    /// every cluster the worker grows.
+    pub fn grow_seed_with(&self, seed: Seed<'_>, scratch: &mut GrowScratch) -> ClusterOutcome {
+        match seed {
+            Seed::Path(p) => self.grow_cluster_with(p, scratch),
+            Seed::Cycle(c) => self.grow_cycle_cluster_with(c, scratch),
+        }
     }
 
-    /// [`LevelGrow::grow_seed`] with caller-provided (typically per-worker)
-    /// scratch tables, reused across every cluster the worker grows.
-    pub fn grow_seed_with(&self, seed: &Seed, scratch: &mut GrowScratch) -> ClusterOutcome {
-        self.grow_root(seed.root(), scratch)
-    }
-
-    /// Grows the cluster seeded by one minimal odd cycle `C_{2l+1}`.
-    pub fn grow_cycle_cluster(&self, seed: &CyclePattern) -> ClusterOutcome {
-        self.grow_cycle_cluster_with(seed, &mut GrowScratch::new())
-    }
-
-    /// [`LevelGrow::grow_cycle_cluster`] with caller-provided scratch.
+    /// Grows the cluster seeded by one minimal odd cycle `C_{2l+1}`, with
+    /// caller-provided scratch.
     pub fn grow_cycle_cluster_with(&self, seed: &CyclePattern, scratch: &mut GrowScratch) -> ClusterOutcome {
         self.grow_root(GrownPattern::from_cycle(seed), scratch)
     }

@@ -2,13 +2,17 @@
 //! by Stage II (LevelGrow) over every canonical-diameter cluster.
 
 use crate::config::SkinnyMineConfig;
+use crate::cycle::CyclePattern;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
-use crate::level_grow::{LevelGrow, Seed};
+use crate::level_grow::{ClusterOutcome, LevelGrow, Seed};
+use crate::path_pattern::PathPattern;
 use crate::result::{MiningResult, SkinnyPattern};
 use crate::stats::MiningStats;
 use skinny_graph::{CsrSnapshot, GraphDatabase, LabeledGraph};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -108,10 +112,7 @@ pub fn duplicate_pattern_indices_reference(patterns: &[SkinnyPattern]) -> Vec<us
 /// Keeps the first copy (in the given order) of every isomorphism class,
 /// folding the canonical-funnel work counters into `stats`.  Used when cycle
 /// seeds are active, where one pattern can be generated by two clusters.
-pub(crate) fn dedup_by_canonical_key(
-    patterns: Vec<SkinnyPattern>,
-    stats: &mut MiningStats,
-) -> Vec<SkinnyPattern> {
+fn dedup_by_canonical_key(patterns: Vec<SkinnyPattern>, stats: &mut MiningStats) -> Vec<SkinnyPattern> {
     let (drop, canon_stats) = duplicate_pattern_indices(&patterns);
     stats.record_canon(canon_stats);
     if drop.is_empty() {
@@ -131,6 +132,69 @@ pub(crate) fn dedup_by_canonical_key(
         })
         .map(|(_, p)| p)
         .collect()
+}
+
+/// Stage I's seeds, owned: every admissible frequent path, then every
+/// frequent minimal odd cycle.  [`SeedSet::as_seeds`] borrows them in that
+/// order, the seed order every entry point grows and folds in.
+#[derive(Debug)]
+pub(crate) struct SeedSet {
+    pub(crate) paths: Vec<PathPattern>,
+    pub(crate) cycles: Vec<CyclePattern>,
+}
+
+impl SeedSet {
+    pub(crate) fn len(&self) -> usize {
+        self.paths.len() + self.cycles.len()
+    }
+
+    pub(crate) fn as_seeds(&self) -> Vec<Seed<'_>> {
+        self.paths.iter().map(Seed::Path).chain(self.cycles.iter().map(Seed::Cycle)).collect()
+    }
+}
+
+/// The output order of a finished result, passed to [`SkinnyMine::finish`].
+pub(crate) type PatternOrder = fn(&SkinnyPattern, &SkinnyPattern) -> Ordering;
+
+/// The output order of direct mining and incremental refresh: largest
+/// patterns first (edges, then vertices), then by cluster (diameter
+/// labels), then by support.
+pub(crate) fn miner_order(a: &SkinnyPattern, b: &SkinnyPattern) -> Ordering {
+    b.edge_count()
+        .cmp(&a.edge_count())
+        .then_with(|| b.vertex_count().cmp(&a.vertex_count()))
+        .then_with(|| a.diameter_labels.cmp(&b.diameter_labels))
+        .then_with(|| a.support.cmp(&b.support))
+}
+
+/// The output order of [`crate::MinimalPatternIndex::request`]: edges, then
+/// diameter labels.  It has drifted from [`miner_order`], which also breaks
+/// ties on vertex count and support, so an index result can list tied
+/// patterns in a different order from direct mining, and under
+/// `max_patterns` keep a different subset.  The benchmark's traced index
+/// request replays this order, so switching the index to [`miner_order`]
+/// must land together with that replay.
+pub(crate) fn index_order(a: &SkinnyPattern, b: &SkinnyPattern) -> Ordering {
+    b.edge_count().cmp(&a.edge_count()).then_with(|| a.diameter_labels.cmp(&b.diameter_labels))
+}
+
+/// Folds per-cluster outcomes, in seed order, into the run stats and one
+/// concatenated pattern list.  Owned outcomes hand over their patterns;
+/// borrowed ones (the incremental miner's cached clusters) are cloned.
+pub(crate) fn fold_outcomes<'o>(
+    outcomes: impl IntoIterator<Item = Cow<'o, ClusterOutcome>>,
+    stats: &mut MiningStats,
+) -> Vec<SkinnyPattern> {
+    let mut patterns = Vec::new();
+    for outcome in outcomes {
+        stats.merge(&outcome.stats);
+        stats.level_grow.candidates_examined += outcome.examined;
+        match outcome {
+            Cow::Owned(outcome) => patterns.extend(outcome.patterns),
+            Cow::Borrowed(outcome) => patterns.extend_from_slice(&outcome.patterns),
+        }
+    }
+    patterns
 }
 
 impl SkinnyMine {
@@ -181,47 +245,47 @@ impl SkinnyMine {
         stats.clusters = seeds.len() as u64;
 
         // ---------------- Stage II: LevelGrow ----------------
-        let t1 = Instant::now();
-        let outcomes = self.grow_outcomes(&snapshot, &seeds, &mut stats);
-        let mut patterns = Vec::new();
-        for outcome in outcomes {
-            stats.merge(&outcome.stats);
-            stats.level_grow.candidates_examined += outcome.examined;
-            patterns.extend(outcome.patterns);
-        }
-        stats.level_grow.duration = t1.elapsed();
-
-        let had_cycle_seeds = seeds.iter().any(|s| matches!(s, Seed::Cycle(_)));
-        patterns = self.finish(patterns, had_cycle_seeds, &mut stats);
+        let patterns = self.grow_and_finish(&snapshot, &seeds.as_seeds(), miner_order, &mut stats);
         Ok(MiningResult { patterns, stats })
     }
 
-    /// The deterministic tail shared by [`SkinnyMine::mine_data`] and the
-    /// incremental refresh: cross-cluster dedup (only when cycle seeds are in
-    /// play — patterns from distinct *path* clusters are never isomorphic,
-    /// but a cycle cluster can reach patterns a path cluster also reaches),
-    /// the stable largest-first output sort, the `max_patterns` cap, and the
-    /// result-shape stats fields.  Running the identical tail over the same
-    /// seed-order concatenation is what makes a maintained result
-    /// byte-identical to a from-scratch mine.
+    /// Stage II over seeds that are all grown afresh: [`SkinnyMine::grow_outcomes`],
+    /// [`fold_outcomes`], then [`SkinnyMine::finish`] in `order`.  Direct
+    /// mining and index requests run exactly this; the incremental miner runs
+    /// the same three pieces with its cached outcomes mixed into the fold.
+    pub(crate) fn grow_and_finish(
+        &self,
+        snapshot: &CsrSnapshot,
+        seeds: &[Seed<'_>],
+        order: PatternOrder,
+        stats: &mut MiningStats,
+    ) -> Vec<SkinnyPattern> {
+        let t = Instant::now();
+        let outcomes = self.grow_outcomes(snapshot, seeds, stats);
+        let patterns = fold_outcomes(outcomes.into_iter().map(Cow::Owned), stats);
+        stats.level_grow.duration = t.elapsed();
+        let had_cycle_seeds = seeds.iter().any(|s| matches!(s, Seed::Cycle(_)));
+        self.finish(patterns, had_cycle_seeds, order, stats)
+    }
+
+    /// The deterministic tail of every entry point: cross-cluster dedup
+    /// (only when cycle seeds are in play — patterns from distinct *path*
+    /// clusters are never isomorphic, but a cycle cluster can reach patterns
+    /// a path cluster also reaches), the stable sort in `order`, the
+    /// `max_patterns` cap, and the result-shape stats fields.  Running the
+    /// identical tail over the same seed-order concatenation is what makes a
+    /// maintained result byte-identical to a from-scratch mine.
     pub(crate) fn finish(
         &self,
         mut patterns: Vec<SkinnyPattern>,
         had_cycle_seeds: bool,
+        order: PatternOrder,
         stats: &mut MiningStats,
     ) -> Vec<SkinnyPattern> {
         if had_cycle_seeds {
             patterns = dedup_by_canonical_key(patterns, stats);
         }
-
-        // Deterministic output order: largest patterns first, then by cluster.
-        patterns.sort_by(|a, b| {
-            b.edge_count()
-                .cmp(&a.edge_count())
-                .then_with(|| b.vertex_count().cmp(&a.vertex_count()))
-                .then_with(|| a.diameter_labels.cmp(&b.diameter_labels))
-                .then_with(|| a.support.cmp(&b.support))
-        });
+        patterns.sort_by(order);
         if let Some(cap) = self.config.max_patterns {
             patterns.truncate(cap);
         }
@@ -248,9 +312,9 @@ impl SkinnyMine {
     pub(crate) fn mine_seeds(
         &self,
         snapshot: &CsrSnapshot,
-        level1: Option<Vec<crate::path_pattern::PathPattern>>,
+        level1: Option<Vec<PathPattern>>,
         stats: &mut MiningStats,
-    ) -> Vec<Seed> {
+    ) -> SeedSet {
         let mut dm = DiamMine::new(MiningData::Snapshot(snapshot), self.config.sigma, self.config.support)
             .with_threads(self.config.threads);
         if let Some(level1) = level1 {
@@ -259,42 +323,40 @@ impl SkinnyMine {
         let lo = self.config.length.min_len();
         let hi = self.config.length.max_len();
         let ranged = dm.mine_range_with_stats(lo, hi, stats);
-        let mut seeds: Vec<Seed> = Vec::new();
-        for paths in ranged.values() {
-            seeds.extend(paths.iter().cloned().map(Seed::Path));
-        }
-        if !self.config.cycle_seeds {
-            return seeds;
-        }
-        if self.config.support.is_anti_monotone() {
+        let mut cycles: Vec<CyclePattern> = Vec::new();
+        if self.config.cycle_seeds && self.config.support.is_anti_monotone() {
             for (&l, paths_l) in &ranged {
-                seeds.extend(dm.cycles_from_arcs(paths_l, l).into_iter().map(Seed::Cycle));
+                cycles.extend(dm.cycles_from_arcs(paths_l, l));
             }
-            return seeds;
-        }
-        // a frequent C_{2l+1} implies frequent paths of length 2l, so when
-        // 2l lies inside the mined range and is absent there is no cycle
-        // either; only a bounded range can cut 2l off, and those missing
-        // even lengths are mined together over one shared doubling ladder
-        let missing: Vec<usize> = ranged
-            .keys()
-            .map(|&l| 2 * l)
-            .filter(|&n| !ranged.contains_key(&n) && hi.is_some_and(|h| n > h))
-            .collect();
-        let extra =
-            if missing.is_empty() { BTreeMap::new() } else { dm.mine_exact_many_with_stats(&missing, stats) };
-        for &l in ranged.keys() {
-            if let Some(paths_2l) = ranged.get(&(2 * l)).or_else(|| extra.get(&(2 * l))) {
-                seeds.extend(dm.cycles_from_paths(paths_2l, l).into_iter().map(Seed::Cycle));
+        } else if self.config.cycle_seeds {
+            // a frequent C_{2l+1} implies frequent paths of length 2l, so
+            // when 2l lies inside the mined range and is absent there is no
+            // cycle either; only a bounded range can cut 2l off, and those
+            // missing even lengths are mined together over one shared
+            // doubling ladder
+            let missing: Vec<usize> = ranged
+                .keys()
+                .map(|&l| 2 * l)
+                .filter(|&n| !ranged.contains_key(&n) && hi.is_some_and(|h| n > h))
+                .collect();
+            let extra = if missing.is_empty() {
+                BTreeMap::new()
+            } else {
+                dm.mine_exact_many_with_stats(&missing, stats)
+            };
+            for &l in ranged.keys() {
+                if let Some(paths_2l) = ranged.get(&(2 * l)).or_else(|| extra.get(&(2 * l))) {
+                    cycles.extend(dm.cycles_from_paths(paths_2l, l));
+                }
             }
         }
-        seeds
+        // the cycle passes only borrowed the ladder's paths: move them out
+        SeedSet { paths: ranged.into_values().flatten().collect(), cycles }
     }
 
     /// Stage II: grows every seed's cluster and returns the per-seed
-    /// [`ClusterOutcome`]s **in seed order** (the shared engine of
-    /// [`SkinnyMine::mine_data`] and the incremental refresh, which caches
-    /// outcomes per cluster).  Outcome stats are *not* folded here — the
+    /// [`ClusterOutcome`]s **in seed order** (the one grow schedule of every
+    /// entry point; the incremental refresh caches outcomes per cluster).  Outcome stats are *not* folded here — the
     /// caller merges them in seed order, so a refresh that interleaves
     /// cached and fresh outcomes folds identically to a from-scratch run.
     ///
@@ -314,22 +376,22 @@ impl SkinnyMine {
     pub(crate) fn grow_outcomes(
         &self,
         snapshot: &CsrSnapshot,
-        seeds: &[Seed],
+        seeds: &[Seed<'_>],
         stats: &mut MiningStats,
-    ) -> Vec<crate::level_grow::ClusterOutcome> {
+    ) -> Vec<ClusterOutcome> {
         let data = MiningData::Snapshot(snapshot);
         if self.config.threads <= 1 || seeds.len() <= 1 {
             let grower = LevelGrow::new(data, &self.config);
             let mut scratch = crate::grown::GrowScratch::new();
-            return seeds.iter().map(|seed| grower.grow_seed_with(seed, &mut scratch)).collect();
+            return seeds.iter().map(|&seed| grower.grow_seed_with(seed, &mut scratch)).collect();
         }
         let mut schedule: Vec<u32> = (0..seeds.len() as u32).collect();
-        schedule.sort_by_key(|&i| (std::cmp::Reverse(seeds[i as usize].embedding_rows()), i));
+        schedule.sort_by_key(|&i| (std::cmp::Reverse(seeds[i as usize].embeddings().len()), i));
         let (outcomes, counters) = skinny_pool::run_with_counters(
             self.config.threads,
             schedule.len(),
             || (LevelGrow::new(data.clone(), &self.config), crate::grown::GrowScratch::new()),
-            |(grower, scratch), t| grower.grow_seed_with(&seeds[schedule[t] as usize], scratch),
+            |(grower, scratch), t| grower.grow_seed_with(seeds[schedule[t] as usize], scratch),
         );
         stats.record_pool(&counters);
         let mut slot_of_seed = vec![0u32; seeds.len()];

@@ -16,7 +16,8 @@ use crate::cycle::CyclePattern;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
-use crate::level_grow::LevelGrow;
+use crate::level_grow::Seed;
+use crate::miner::{index_order, SkinnyMine};
 use crate::path_pattern::PathPattern;
 use crate::result::MiningResult;
 use crate::serving::{ServeCache, ServingCacheConfig, ServingRequest, ServingResponse};
@@ -242,6 +243,14 @@ impl MinimalPatternIndex {
     /// pool when `config.threads > 1`.  Every path returns exactly what a
     /// fresh sequential serve would.
     ///
+    /// Growth, fold, dedup and cap are the direct miner's Stage II, but the
+    /// result breaks ties in a different order: patterns with equal edge
+    /// count and diameter labels are not ordered by vertex count and support
+    /// as [`SkinnyMine::mine`] orders them.  The same patterns can therefore
+    /// come back in a different order, and under `max_patterns` the index
+    /// may keep a different subset.  The fix waits for a benchmark change,
+    /// whose traced index request replays this order.
+    ///
     /// Cycle seeds (`C_{2l+1}`) are pre-derived at build time from the
     /// stored length-`2l` paths, so an index built with a bounded `max_len`
     /// can only serve them for `2l <= max_len`; build with `max_len = None`
@@ -312,8 +321,8 @@ impl MinimalPatternIndex {
 
     /// Applies an update to the owned graph-transaction database, then
     /// brings the index back in sync: only the dirty transactions are
-    /// re-frozen into the CSR snapshot (the warm
-    /// [`CsrSnapshot::refreeze_transaction`] path), Stage I re-runs over
+    /// re-frozen into the CSR snapshot ([`CsrSnapshot::refreeze_dirty`],
+    /// as [`crate::IncrementalMiner::refresh`] does), Stage I re-runs over
     /// the refreshed snapshot, and the data version stamp is bumped so
     /// every result cached before the update is evicted per key on its
     /// next lookup instead of being served stale.
@@ -340,105 +349,27 @@ impl MinimalPatternIndex {
         if dirty.is_empty() {
             return Ok(self.cache.version());
         }
-        let mut builder = SnapshotBuilder::new();
-        for &t in &dirty {
-            let graph = db.get(t)?;
-            if t < self.snapshot.len() {
-                self.snapshot.refreeze_transaction(t, graph, &mut builder);
-            } else {
-                let appended = self.snapshot.push_transaction(graph, &mut builder);
-                debug_assert_eq!(appended, t, "appended transactions arrive in index order");
-            }
-        }
+        self.snapshot.refreeze_dirty(db, &dirty, &mut SnapshotBuilder::new())?;
         let (by_length, cycles) = Self::stage_one(&self.snapshot, self.sigma, self.support, self.max_len, 1);
         self.by_length = by_length;
         self.cycles_by_diameter = cycles;
         Ok(self.cache.bump_version())
     }
 
+    /// Grows the stored seeds the request admits through the direct
+    /// miner's Stage II, finished in [`index_order`].
     fn serve_uncached(&self, config: &SkinnyMineConfig) -> MiningResult {
-        let mut stats = MiningStats::default();
-        stats.diam_mine.duration = std::time::Duration::ZERO; // already pre-computed
-        let t0 = Instant::now();
-        let path_seeds: Vec<&PathPattern> = self
-            .by_length
-            .iter()
-            .filter(|&(&l, _)| config.length.admits(l))
-            .flat_map(|(_, seeds)| seeds)
-            .filter(|seed| seed.support(config.support) >= config.sigma)
-            .collect();
-        let cycle_seeds: Vec<&CyclePattern> = if config.cycle_seeds {
-            self.cycles_by_diameter
-                .iter()
-                .filter(|&(&l, _)| config.length.admits(l))
-                .flat_map(|(_, seeds)| seeds)
-                .filter(|seed| seed.support(config.support) >= config.sigma)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let clusters = (path_seeds.len() + cycle_seeds.len()) as u64;
-        let serve_data = MiningData::Snapshot(&self.snapshot);
-        // cost-ordered schedule, as in `SkinnyMine::grow_outcomes`: dispatch
-        // the biggest cluster (most embedding rows) first so it cannot land
-        // at the tail of the queue; merge back in seed order (paths first),
-        // keeping the served result byte-identical for any thread count
-        let ntasks = path_seeds.len() + cycle_seeds.len();
-        let rows_of = |i: usize| {
-            if i < path_seeds.len() {
-                path_seeds[i].embeddings.len()
-            } else {
-                cycle_seeds[i - path_seeds.len()].embeddings.len()
-            }
-        };
-        let mut schedule: Vec<u32> = (0..ntasks as u32).collect();
-        schedule.sort_by_key(|&i| (std::cmp::Reverse(rows_of(i as usize)), i));
-        let (outcomes, counters) = skinny_pool::run_with_counters(
-            config.threads,
-            ntasks,
-            // per-worker grower *and* grow-engine scratch (extension table +
-            // sweep buffers), reused across all the clusters the worker
-            // grows or steals
-            || (LevelGrow::new(serve_data.clone(), config), crate::grown::GrowScratch::new()),
-            |(grower, scratch), t| {
-                let i = schedule[t] as usize;
-                if i < path_seeds.len() {
-                    grower.grow_cluster_with(path_seeds[i], scratch)
-                } else {
-                    grower.grow_cycle_cluster_with(cycle_seeds[i - path_seeds.len()], scratch)
-                }
-            },
-        );
-        stats.record_pool(&counters);
-        let mut slot_of_seed = vec![0u32; ntasks];
-        for (t, &i) in schedule.iter().enumerate() {
-            slot_of_seed[i as usize] = t as u32;
+        let admitted = |l: &usize| config.length.admits(*l);
+        let paths = self.by_length.iter().filter(|(l, _)| admitted(l)).flat_map(|(_, p)| p);
+        let mut seeds: Vec<Seed<'_>> = paths.map(Seed::Path).collect();
+        if config.cycle_seeds {
+            let cycles = self.cycles_by_diameter.iter().filter(|(l, _)| admitted(l)).flat_map(|(_, c)| c);
+            seeds.extend(cycles.map(Seed::Cycle));
         }
-        let mut outcomes: Vec<Option<_>> = outcomes.into_iter().map(Some).collect();
-        let mut patterns = Vec::new();
-        for &slot in &slot_of_seed {
-            let outcome = outcomes[slot as usize].take().expect("every task runs exactly once");
-            stats.merge(&outcome.stats);
-            stats.level_grow.candidates_examined += outcome.examined;
-            patterns.extend(outcome.patterns);
-        }
-        // cycle clusters can re-generate patterns a path cluster reaches;
-        // keep the first copy in deterministic seed order (paths first),
-        // reusing the memoized fingerprints/keys the grow workers carry
-        if !cycle_seeds.is_empty() {
-            patterns = crate::miner::dedup_by_canonical_key(patterns, &mut stats);
-        }
-        stats.level_grow.duration = t0.elapsed();
-        stats.clusters = clusters;
-        patterns.sort_by(|a, b| {
-            b.edge_count().cmp(&a.edge_count()).then_with(|| a.diameter_labels.cmp(&b.diameter_labels))
-        });
-        if let Some(cap) = config.max_patterns {
-            patterns.truncate(cap);
-        }
-        stats.reported_patterns = patterns.len() as u64;
-        stats.largest_pattern_edges = patterns.iter().map(|p| p.edge_count() as u64).max().unwrap_or(0);
-        stats.largest_pattern_vertices = patterns.iter().map(|p| p.vertex_count() as u64).max().unwrap_or(0);
+        seeds.retain(|seed| seed.support(config.support) >= config.sigma);
+        let mut stats = MiningStats { clusters: seeds.len() as u64, ..MiningStats::default() };
+        let miner = SkinnyMine::new(config.clone());
+        let patterns = miner.grow_and_finish(&self.snapshot, &seeds, index_order, &mut stats);
         MiningResult { patterns, stats }
     }
 
@@ -456,7 +387,6 @@ impl MinimalPatternIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::SkinnyMine;
     use skinny_graph::Label;
 
     fn l(x: u32) -> Label {

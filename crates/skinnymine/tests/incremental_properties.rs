@@ -4,14 +4,15 @@
 //! remove, in arbitrary interleavings — [`IncrementalMiner::refresh`] must
 //! produce output byte-identical (`Debug`-formatted patterns, embeddings
 //! and all) to a from-scratch [`SkinnyMine`] run over the mutated
-//! database, for every thread count in {1, 2, 8}.  The miner under test
-//! is long-lived: one instance
+//! database, for every thread count in {1, 2, 8}, under each support
+//! measure (so both cycle-seed routes run) with and without a
+//! `max_patterns` cap.  The miner under test is long-lived: one instance
 //! absorbs every chunk of the sequence, so maintained Stage-I tables and
 //! reused Stage-II clusters are carried across many refreshes, exactly as
 //! a serving deployment would.
 
 use proptest::prelude::*;
-use skinny_graph::{GraphDatabase, Label, LabeledGraph, VertexId};
+use skinny_graph::{GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
 use skinnymine::{IncrementalMiner, ReportMode, SkinnyMine, SkinnyMineConfig};
 
 /// One database update, with raw indices that get reduced modulo the
@@ -118,11 +119,24 @@ fn apply(db: &mut GraphDatabase, op: &Op) {
     }
 }
 
-fn config_for(threads: usize) -> SkinnyMineConfig {
-    SkinnyMineConfig::new(3, 2, 2).with_report(ReportMode::All).with_threads(threads)
+fn config_for(threads: usize, measure: SupportMeasure, cap: Option<usize>) -> SkinnyMineConfig {
+    SkinnyMineConfig::new(3, 2, 2)
+        .with_report(ReportMode::All)
+        .with_threads(threads)
+        .with_support_measure(measure)
+        .with_max_patterns(cap)
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// The support measures under test: the 2l-path cycle route
+/// (`DistinctVertexSets`) and the l-path arc route of the anti-monotone
+/// measures (`Transactions`, `MinimumImage`).
+const MEASURES: [SupportMeasure; 3] =
+    [SupportMeasure::DistinctVertexSets, SupportMeasure::Transactions, SupportMeasure::MinimumImage];
+
+/// No cap, or a cap small enough to cut most results.
+const CAPS: [Option<usize>; 2] = [None, Some(3)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -136,12 +150,15 @@ proptest! {
     fn refresh_is_byte_identical_to_full_remine(
         initial in proptest::collection::vec(any_graph(), 1..4),
         chunks in proptest::collection::vec(proptest::collection::vec(any_op(), 1..5), 1..4),
+        measure in 0..MEASURES.len(),
+        cap in 0..CAPS.len(),
     ) {
         let base = GraphDatabase::from_graphs(initial);
         let mut miners: Vec<IncrementalMiner> = THREAD_COUNTS
             .iter()
             .map(|&threads| {
-                IncrementalMiner::new(config_for(threads), base.clone()).expect("a valid initial database mines")
+                let config = config_for(threads, MEASURES[measure], CAPS[cap]);
+                IncrementalMiner::new(config, base.clone()).expect("a valid initial database mines")
             })
             .collect();
         let mut mirror = base;
