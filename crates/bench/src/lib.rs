@@ -7,28 +7,21 @@
 //!
 //! * [`experiments`] — experiment drivers (Table 1–3, Figures 4–20, §6.3
 //!   case studies), each scaled by an [`experiments::Scale`];
-//! * [`perf`] — the Stage-I/II hot-loop timing experiment behind
-//!   `BENCH_stage1.json` (phase timings plus the before/after occurrence
-//!   join comparison), with its schema checker;
-//! * [`serving`] — the closed-loop pattern-index serving experiment behind
-//!   `BENCH_serving.json` (p50/p99 latency and throughput under hot / cold
-//!   / mixed key distributions), with its schema checker;
 //! * [`report`] — plain-text tables and series used to render the results.
+//!
+//! End-to-end and per-layer timings of the three entry points (direct mine,
+//! index request, incremental refresh) come from the separate `perfbench`
+//! package at the repository root, whose workloads `BENCHMARK.json` lists.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-mod json;
-pub mod perf;
 pub mod report;
-pub mod serving;
 
 pub use experiments::{
     run_dblp_case_study, run_diammine_vs_l, run_gid_effectiveness, run_levelgrow_vs_delta,
     run_levelgrow_vs_l, run_runtime_sweep, run_runtime_table, run_scalability, run_table3,
     run_transaction_effectiveness, run_weibo_case_study, table1_and_2, RuntimeFigure, Scale,
 };
-pub use perf::{check_schema, run_stage1_perf, JoinComparison, PhaseTiming, Stage1Bench};
 pub use report::{distribution_table, series_table, Series, Table};
-pub use serving::{check_serving_schema, run_serving_bench, ScenarioOutcome, ServingBench};

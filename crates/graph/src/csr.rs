@@ -27,8 +27,8 @@
 //! allocations), and [`CsrSnapshot::from_database_with_threads`] shards the
 //! per-transaction builds across pool workers with an index-addressed stitch
 //! that is byte-identical to the serial build by construction.  The original
-//! sort-based build is retained as [`CsrGraph::from_graph_reference`] — the
-//! parity oracle and ingest-benchmark baseline.
+//! sort-based build is retained as [`CsrGraph::from_graph_reference`], the
+//! parity oracle.
 
 use crate::error::GraphResult;
 use crate::graph::{LabeledGraph, VertexId};
@@ -106,7 +106,7 @@ impl CsrGraph {
     /// `(triple, endpoints)` pairs and groups them with stable sorts.
     ///
     /// Byte-identical to [`CsrGraph::from_graph`] (property-tested); kept as
-    /// the parity oracle and as the ingest benchmark's pre-arena baseline.
+    /// the parity oracle.
     pub fn from_graph_reference(g: &LabeledGraph) -> Self {
         let n = g.vertex_count();
         let mut offsets = Vec::with_capacity(n + 1);

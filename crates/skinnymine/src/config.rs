@@ -81,32 +81,6 @@ pub enum Exploration {
     ClosureJump,
 }
 
-/// Which Stage-II engine evaluates the candidate extensions of a grown
-/// pattern.
-///
-/// The mined **patterns** are byte-identical between the two (the
-/// `ext_index` parity suite asserts it); the choice is exposed so the
-/// `perf` harness can report a before/after comparison.  The
-/// [`crate::stats::MiningStats`] rejection counters are engine-specific
-/// bookkeeping and differ by construction: the indexed engine tests
-/// constraints before frequency (plus the upper-bound prune), so a
-/// candidate failing both lands in a different counter than under the
-/// reference engine's frequency-first order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum GrowEngine {
-    /// One sweep per pattern builds an inverted `extension → supporting
-    /// rows` index ([`crate::ext_index::ExtensionTable`]); each candidate is
-    /// pruned by its free support upper bound, constraint-checked on
-    /// structure alone, and materialized by gathering exactly its supporting
-    /// rows.  The default.
-    #[default]
-    ExtensionIndex,
-    /// The pre-index engine: enumerate candidates into an ordered set, then
-    /// re-scan every embedding row once per candidate.  Retained as the
-    /// parity oracle and the before/after timing baseline.
-    Reference,
-}
-
 /// How the canonical-diameter loop invariant is checked on each extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ConstraintCheckMode {
@@ -160,9 +134,6 @@ pub struct SkinnyMineConfig {
     /// `DistinctVertexSets` it costs an extra frequent-path pass at length
     /// `2l` per admitted `l`.
     pub cycle_seeds: bool,
-    /// Which Stage-II engine evaluates candidate extensions (output is
-    /// byte-identical either way).
-    pub grow_engine: GrowEngine,
 }
 
 impl SkinnyMineConfig {
@@ -182,7 +153,6 @@ impl SkinnyMineConfig {
             max_embeddings_per_pattern: Some(10_000),
             threads: 1,
             cycle_seeds: true,
-            grow_engine: GrowEngine::default(),
         }
     }
 
@@ -222,12 +192,6 @@ impl SkinnyMineConfig {
         self
     }
 
-    /// Sets the Stage-II candidate-evaluation engine.
-    pub fn with_grow_engine(mut self, grow_engine: GrowEngine) -> Self {
-        self.grow_engine = grow_engine;
-        self
-    }
-
     /// Enables or disables frequent-cycle seeding in Stage I.
     pub fn with_cycle_seeds(mut self, cycle_seeds: bool) -> Self {
         self.cycle_seeds = cycle_seeds;
@@ -247,15 +211,14 @@ impl SkinnyMineConfig {
     }
 
     /// The canonical serving-cache key of this configuration: the mined
-    /// patterns are invariant under thread count and grow engine by
-    /// construction (the determinism and engine-parity suites assert it), so
-    /// the key normalizes both away and the same logical request shares one
-    /// cache slot — and one in-flight mining run — however it is served.
-    /// The cached result's stats come from whichever run filled the slot.
+    /// patterns are invariant under thread count by construction (the
+    /// determinism suite asserts it), so the key normalizes it away and the
+    /// same logical request shares one cache slot — and one in-flight mining
+    /// run — however many threads serve it.  The cached result's stats come
+    /// from whichever run filled the slot.
     pub fn canonical_request_key(&self) -> SkinnyMineConfig {
         let mut key = self.clone();
         key.threads = 1;
-        key.grow_engine = GrowEngine::default();
         key
     }
 

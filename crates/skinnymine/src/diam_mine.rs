@@ -484,24 +484,12 @@ impl<'a> DiamMine<'a> {
     /// memo (graph-free), and the σ-filter runs the pruned evaluator — a
     /// rejected row pair touches no allocator.
     pub fn concat_double(&self, current: &[PathPattern]) -> Vec<PathPattern> {
-        self.concat_double_with_stats(current, &mut MiningStats::default())
-    }
-
-    /// [`DiamMine::concat_double`] recording phase timings and pruning
-    /// counters into `stats`.
-    pub fn concat_double_with_stats(
-        &self,
-        current: &[PathPattern],
-        stats: &mut MiningStats,
-    ) -> Vec<PathPattern> {
         if current.is_empty() {
             return Vec::new();
         }
         let mut arenas = LevelArenas::default();
-        let wall = Instant::now();
         arenas.rebuild(current, 1);
-        stats.join_phases.intern += wall.elapsed();
-        self.concat_join(current, &arenas, stats)
+        self.concat_join(current, &arenas, &mut MiningStats::default())
     }
 
     /// The concat join over a level's carried arenas: probe the prefix-1
@@ -572,28 +560,14 @@ impl<'a> DiamMine<'a> {
     /// products through the pattern-pair memo, and σ-filters with the pruned
     /// evaluator.
     pub fn merge_to_length(&self, base: &[PathPattern], target: usize) -> Vec<PathPattern> {
-        self.merge_to_length_with_stats(base, target, &mut MiningStats::default())
-    }
-
-    /// [`DiamMine::merge_to_length`] recording phase timings and pruning
-    /// counters into `stats`.
-    pub fn merge_to_length_with_stats(
-        &self,
-        base: &[PathPattern],
-        target: usize,
-        stats: &mut MiningStats,
-    ) -> Vec<PathPattern> {
         if base.is_empty() {
             return Vec::new();
         }
         let n = base[0].len();
         assert!(target > n && target < 2 * n, "merge target must satisfy n < target < 2n");
-        let overlap_vertices = 2 * n - target + 1;
         let mut arenas = LevelArenas::default();
-        let wall = Instant::now();
-        arenas.rebuild(base, overlap_vertices);
-        stats.join_phases.intern += wall.elapsed();
-        self.merge_join(base, &arenas, target, stats)
+        arenas.rebuild(base, 2 * n - target + 1);
+        self.merge_join(base, &arenas, target, &mut MiningStats::default())
     }
 
     /// The merge join over a level's carried arenas (index prefix =
@@ -664,8 +638,8 @@ impl<'a> DiamMine<'a> {
     /// Reference (pre-engine) implementation of [`DiamMine::concat_double`]:
     /// the per-join `HashMap<(transaction, endpoint), Vec<row>>` build with
     /// per-row key cloning that the occurrence index replaced.  Sequential;
-    /// kept for the parity tests and the `perf` experiment's before/after
-    /// join comparison.  Output is byte-identical to the indexed engine.
+    /// kept as the parity oracle of the ladder tests.  Output is
+    /// byte-identical to the indexed engine.
     #[doc(hidden)]
     pub fn concat_double_reference(&self, current: &[PathPattern]) -> Vec<PathPattern> {
         if current.is_empty() {

@@ -299,8 +299,7 @@ impl GrownPattern {
     /// [`Extension::NewVertex`]).  Embeddings are *not* computed here — see
     /// [`GrownPattern::extend_embeddings`].
     ///
-    /// This freshly-allocating form is retained as the reference and
-    /// before/after timing baseline of
+    /// This freshly-allocating form is retained as the parity oracle of
     /// [`GrownPattern::apply_structure_with`], which the grow engines use
     /// (per-worker scratch, no allocation on the candidate-reject path).
     pub fn apply_structure(&self, ext: &Extension) -> StructuralExtension {

@@ -19,19 +19,16 @@
 //! the pattern's interned [`skinny_graph::CanonId`] and reused by the
 //! cross-cluster dedup ([`crate::miner`]), never recomputed.
 //!
-//! Candidate evaluation runs on one of two engines
-//! ([`crate::config::GrowEngine`], byte-identical output):
-//!
-//! * **ExtensionIndex** (default) — one sweep per pattern builds the
-//!   inverted [`ExtensionTable`] (`candidate → supporting rows`); each
-//!   candidate is pruned by its free support upper bound, checked on
-//!   structure alone, and materialized by gathering exactly its supporting
-//!   rows ([`crate::ext_index`]).
-//! * **Reference** — the pre-index path: enumerate candidates into an
-//!   ordered set, then re-scan every embedding row once per candidate.
-//!   Retained as the parity oracle and before/after timing baseline.
+//! Candidates are evaluated on the extension index: one sweep per pattern
+//! builds the inverted [`ExtensionTable`] (`candidate → supporting rows`);
+//! each candidate is pruned by its free support upper bound, checked on
+//! structure alone, and materialized by gathering exactly its supporting
+//! rows ([`crate::ext_index`]).  The pre-index path — enumerate candidates
+//! into an ordered set, then re-scan every embedding row once per
+//! candidate — survives only as the test oracle behind
+//! [`LevelGrow::reference`]; its output is byte-identical.
 
-use crate::config::{Exploration, GrowEngine, ReportMode, SkinnyMineConfig};
+use crate::config::{Exploration, ReportMode, SkinnyMineConfig};
 use crate::constraints::{check_extension, ConstraintViolation};
 use crate::cycle::CyclePattern;
 use crate::data::MiningData;
@@ -136,6 +133,8 @@ impl<'a> Seed<'a> {
 pub struct LevelGrow<'a> {
     data: Cow<'a, CsrSnapshot>,
     config: &'a SkinnyMineConfig,
+    /// Evaluate candidates on the pre-index re-scan path (the test oracle).
+    reference: bool,
 }
 
 /// Everything produced by growing one cluster.
@@ -154,7 +153,19 @@ impl<'a> LevelGrow<'a> {
     /// Adjacency-list input is frozen into a CSR snapshot here, once;
     /// snapshot input is borrowed.
     pub fn new(data: MiningData<'a>, config: &'a SkinnyMineConfig) -> Self {
-        LevelGrow { data: data.to_snapshot(), config }
+        LevelGrow { data: data.to_snapshot(), config, reference: false }
+    }
+
+    /// The parity oracle: a grower that evaluates every candidate on the
+    /// pre-index path — enumerate the candidates into an ordered set
+    /// ([`LevelGrow::candidate_extensions_reference`]), then re-scan every
+    /// embedding row once per candidate.  Its reported patterns are
+    /// byte-identical to [`LevelGrow::new`]'s, which the parity tests
+    /// assert; the rejection counters in [`ClusterOutcome::stats`] differ,
+    /// because it tests frequency before the constraints.  No entry point
+    /// uses it.
+    pub fn reference(data: MiningData<'a>, config: &'a SkinnyMineConfig) -> Self {
+        LevelGrow { reference: true, ..Self::new(data, config) }
     }
 
     /// Grows the cluster seeded by one canonical diameter (a frequent path of
@@ -235,46 +246,43 @@ impl<'a> LevelGrow<'a> {
                     worklist.push(child);
                 }
             };
-            match self.config.grow_engine {
-                GrowEngine::ExtensionIndex => {
-                    let t = phase_ticks();
-                    ext.build(&current, &self.data, self.config.delta);
-                    batch.invalidate();
-                    ticks.candidates += phase_ticks().wrapping_sub(t);
-                    for i in 0..ext.table.candidate_count() {
-                        let Some((child, sup)) = self.try_extension_indexed(
-                            &current,
-                            &ext.table,
-                            i,
-                            &mut outcome.stats,
-                            &mut ticks,
-                            batch,
-                            gather,
-                            structure,
-                        ) else {
-                            continue;
-                        };
-                        admit(child, sup, &mut is_maximal, &mut is_closed, &mut worklist, &mut ticks);
-                    }
+            if !self.reference {
+                let t = phase_ticks();
+                ext.build(&current, &self.data, self.config.delta);
+                batch.invalidate();
+                ticks.candidates += phase_ticks().wrapping_sub(t);
+                for i in 0..ext.table.candidate_count() {
+                    let Some((child, sup)) = self.try_extension_indexed(
+                        &current,
+                        &ext.table,
+                        i,
+                        &mut outcome.stats,
+                        &mut ticks,
+                        batch,
+                        gather,
+                        structure,
+                    ) else {
+                        continue;
+                    };
+                    admit(child, sup, &mut is_maximal, &mut is_closed, &mut worklist, &mut ticks);
                 }
-                GrowEngine::Reference => {
-                    let t = phase_ticks();
-                    let cands = self.candidate_extensions_reference(&current, ext);
-                    ticks.candidates += phase_ticks().wrapping_sub(t);
-                    for e in cands {
-                        let Some((child, sup)) = self.try_extension_reference(
-                            &current,
-                            e,
-                            &mut outcome.stats,
-                            &mut ticks,
-                            row_marks,
-                            support,
-                            structure,
-                        ) else {
-                            continue;
-                        };
-                        admit(child, sup, &mut is_maximal, &mut is_closed, &mut worklist, &mut ticks);
-                    }
+            } else {
+                let t = phase_ticks();
+                let cands = self.candidate_extensions_reference(&current, ext);
+                ticks.candidates += phase_ticks().wrapping_sub(t);
+                for e in cands {
+                    let Some((child, sup)) = self.try_extension_reference(
+                        &current,
+                        e,
+                        &mut outcome.stats,
+                        &mut ticks,
+                        row_marks,
+                        support,
+                        structure,
+                    ) else {
+                        continue;
+                    };
+                    admit(child, sup, &mut is_maximal, &mut is_closed, &mut worklist, &mut ticks);
                 }
             }
 
@@ -333,91 +341,88 @@ impl<'a> LevelGrow<'a> {
             loop {
                 let mut advanced = false;
                 branches.clear();
-                match self.config.grow_engine {
-                    GrowEngine::ExtensionIndex => {
-                        let t = phase_ticks();
-                        scratch.ext.build(&closed, &self.data, self.config.delta);
-                        scratch.batch.invalidate();
-                        ticks.candidates += phase_ticks().wrapping_sub(t);
-                        let GrowScratch { ext, batch, gather, structure, .. } = scratch;
-                        // the table indexes the pass-start pattern's rows; a
-                        // greedy advance replaces the embedding list with the
-                        // gather of the applied candidate's entries, so the
-                        // table is refiltered through that row expansion in
-                        // place — no re-sweep of the data, and the candidate
-                        // enumeration (and its indices) stays exactly the
-                        // pass-start one the loop is walking
-                        let count = ext.table.candidate_count();
-                        for i in 0..count {
-                            // an earlier application in this pass may have
-                            // already closed this pair
-                            if let Extension::ClosingEdge { u, v, .. } = *ext.table.extension(i) {
-                                if closed.graph.has_edge(VertexId(u), VertexId(v)) {
-                                    continue;
-                                }
+                if !self.reference {
+                    let t = phase_ticks();
+                    scratch.ext.build(&closed, &self.data, self.config.delta);
+                    scratch.batch.invalidate();
+                    ticks.candidates += phase_ticks().wrapping_sub(t);
+                    let GrowScratch { ext, batch, gather, structure, .. } = scratch;
+                    // the table indexes the pass-start pattern's rows; a
+                    // greedy advance replaces the embedding list with the
+                    // gather of the applied candidate's entries, so the
+                    // table is refiltered through that row expansion in
+                    // place — no re-sweep of the data, and the candidate
+                    // enumeration (and its indices) stays exactly the
+                    // pass-start one the loop is walking
+                    let count = ext.table.candidate_count();
+                    for i in 0..count {
+                        // an earlier application in this pass may have
+                        // already closed this pair
+                        if let Extension::ClosingEdge { u, v, .. } = *ext.table.extension(i) {
+                            if closed.graph.has_edge(VertexId(u), VertexId(v)) {
+                                continue;
                             }
-                            let result = self.try_extension_indexed(
-                                &closed,
-                                &ext.table,
-                                i,
-                                &mut outcome.stats,
-                                &mut ticks,
-                                batch,
-                                gather,
-                                structure,
-                            );
-                            if let Some((child, sup)) = result {
-                                if sup == closed_support {
-                                    if i + 1 < count {
-                                        let t = phase_ticks();
-                                        ext.refilter(i, closed.embeddings.len());
-                                        batch.invalidate();
-                                        ticks.candidates += phase_ticks().wrapping_sub(t);
-                                    }
-                                    closed = child;
-                                    closed_support = sup;
-                                    advanced = true;
-                                } else {
-                                    // note: embedding-based support is not
-                                    // anti-monotone, so a super-pattern's
-                                    // support can also exceed the parent's
-                                    branches.push(child);
+                        }
+                        let result = self.try_extension_indexed(
+                            &closed,
+                            &ext.table,
+                            i,
+                            &mut outcome.stats,
+                            &mut ticks,
+                            batch,
+                            gather,
+                            structure,
+                        );
+                        if let Some((child, sup)) = result {
+                            if sup == closed_support {
+                                if i + 1 < count {
+                                    let t = phase_ticks();
+                                    ext.refilter(i, closed.embeddings.len());
+                                    batch.invalidate();
+                                    ticks.candidates += phase_ticks().wrapping_sub(t);
                                 }
+                                closed = child;
+                                closed_support = sup;
+                                advanced = true;
+                            } else {
+                                // note: embedding-based support is not
+                                // anti-monotone, so a super-pattern's
+                                // support can also exceed the parent's
+                                branches.push(child);
                             }
                         }
                     }
-                    GrowEngine::Reference => {
-                        let t = phase_ticks();
-                        let cands = self.candidate_extensions_reference(&closed, &mut scratch.ext);
-                        ticks.candidates += phase_ticks().wrapping_sub(t);
-                        let GrowScratch { row_marks, support, structure, .. } = scratch;
-                        for ext in cands {
-                            // an earlier application in this pass may have
-                            // already closed this pair
-                            if let Extension::ClosingEdge { u, v, .. } = ext {
-                                if closed.graph.has_edge(VertexId(u), VertexId(v)) {
-                                    continue;
-                                }
+                } else {
+                    let t = phase_ticks();
+                    let cands = self.candidate_extensions_reference(&closed, &mut scratch.ext);
+                    ticks.candidates += phase_ticks().wrapping_sub(t);
+                    let GrowScratch { row_marks, support, structure, .. } = scratch;
+                    for ext in cands {
+                        // an earlier application in this pass may have
+                        // already closed this pair
+                        if let Extension::ClosingEdge { u, v, .. } = ext {
+                            if closed.graph.has_edge(VertexId(u), VertexId(v)) {
+                                continue;
                             }
-                            if let Some((child, sup)) = self.try_extension_reference(
-                                &closed,
-                                ext,
-                                &mut outcome.stats,
-                                &mut ticks,
-                                row_marks,
-                                support,
-                                structure,
-                            ) {
-                                if sup == closed_support {
-                                    closed = child;
-                                    closed_support = sup;
-                                    advanced = true;
-                                } else {
-                                    // note: embedding-based support is not
-                                    // anti-monotone, so a super-pattern's
-                                    // support can also exceed the parent's
-                                    branches.push(child);
-                                }
+                        }
+                        if let Some((child, sup)) = self.try_extension_reference(
+                            &closed,
+                            ext,
+                            &mut outcome.stats,
+                            &mut ticks,
+                            row_marks,
+                            support,
+                            structure,
+                        ) {
+                            if sup == closed_support {
+                                closed = child;
+                                closed_support = sup;
+                                advanced = true;
+                            } else {
+                                // note: embedding-based support is not
+                                // anti-monotone, so a super-pattern's
+                                // support can also exceed the parent's
+                                branches.push(child);
                             }
                         }
                     }
@@ -581,8 +586,9 @@ impl<'a> LevelGrow<'a> {
     /// The reference evaluation of one candidate extension: the frequency
     /// test first (an incremental full re-scan over the parent's
     /// embeddings), then the constraint checks, which may require a full
-    /// canonical-diameter recomputation.  Retained as the parity oracle and
-    /// timing baseline of [`LevelGrow::try_extension_indexed`].  Returns the
+    /// canonical-diameter recomputation.  The parity oracle of
+    /// [`LevelGrow::try_extension_indexed`], reached only through
+    /// [`LevelGrow::reference`].  Returns the
     /// extended pattern and its support when the extension is admissible,
     /// recording statistics either way.
     #[allow(clippy::too_many_arguments)]
@@ -813,7 +819,7 @@ mod tests {
     use super::*;
     use crate::config::{ConstraintCheckMode, SkinnyMineConfig};
     use crate::diam_mine::DiamMine;
-    use skinny_graph::{canonical_key, Label, LabeledGraph};
+    use skinny_graph::{Label, LabeledGraph};
 
     fn l(x: u32) -> Label {
         Label(x)
@@ -1066,17 +1072,17 @@ mod tests {
     fn reference_engine_matches_indexed() {
         let g = data();
         for exploration in [crate::config::Exploration::Exhaustive, crate::config::Exploration::ClosureJump] {
-            let indexed =
+            let config =
                 SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All).with_exploration(exploration);
-            let reference = indexed.clone().with_grow_engine(crate::config::GrowEngine::Reference);
-            let pi = grow_with(&indexed, &g);
-            let pr = grow_with(&reference, &g);
-            assert_eq!(pi.len(), pr.len());
-            for (a, b) in pi.iter().zip(&pr) {
-                assert_eq!(canonical_key(&a.graph), canonical_key(&b.graph));
-                assert_eq!(a.support, b.support);
-                assert_eq!(a.embeddings.embeddings, b.embeddings.embeddings);
-                assert_eq!((a.closed, a.maximal), (b.closed, b.maximal));
+            let data = MiningData::Single(&g);
+            let seeds = DiamMine::new(data.clone(), config.sigma, config.support).mine_exact(4);
+            assert!(!seeds.is_empty());
+            let indexed = LevelGrow::new(data.clone(), &config);
+            let reference = LevelGrow::reference(data.clone(), &config);
+            for seed in &seeds {
+                let (a, b) = (indexed.grow_cluster(seed), reference.grow_cluster(seed));
+                assert_eq!(format!("{:?}", a.patterns), format!("{:?}", b.patterns));
+                assert_eq!(a.examined, b.examined);
             }
         }
     }

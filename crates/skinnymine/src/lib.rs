@@ -94,9 +94,7 @@ pub mod result;
 pub mod serving;
 pub mod stats;
 
-pub use config::{
-    ConstraintCheckMode, Exploration, GrowEngine, LengthConstraint, ReportMode, SkinnyMineConfig,
-};
+pub use config::{ConstraintCheckMode, Exploration, LengthConstraint, ReportMode, SkinnyMineConfig};
 pub use constraints::{
     check_extension, needs_structural_check, precheck_violation, satisfies_skinny_spec,
     verify_canonical_diameter, ConstraintViolation,

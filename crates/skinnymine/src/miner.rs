@@ -81,9 +81,9 @@ pub fn duplicate_pattern_indices(patterns: &[SkinnyPattern]) -> (Vec<usize>, ski
     (drop, skinny_graph::CanonStats { fingerprint_hits, full_keys, early_aborts })
 }
 
-/// The PR-4 reference implementation of [`duplicate_pattern_indices`],
-/// retained as the parity oracle and before/after timing baseline of the
-/// `perf` harness: buckets by the allocating sorted-multiset
+/// The original implementation of [`duplicate_pattern_indices`], retained
+/// as its parity oracle (`crates/skinnymine/tests/cycle_seeds.rs`): buckets
+/// by the allocating sorted-multiset
 /// [`skinny_graph::GraphSignature`] and recomputes every canonical key from
 /// scratch inside multi-member buckets.
 pub fn duplicate_pattern_indices_reference(patterns: &[SkinnyPattern]) -> Vec<usize> {

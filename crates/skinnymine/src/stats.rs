@@ -31,11 +31,9 @@ impl StageStats {
 /// enumeration / extension-table build, structural constraint checks,
 /// embedding materialization (gather or re-scan) and support evaluation.
 ///
-/// The `perf` harness reports these as the grow sub-timings of
-/// `BENCH_stage1.json`; both Stage-II engines fill the same four buckets, so
-/// the before/after comparison is like for like.  Collection costs a few
-/// monotonic-clock reads per candidate (well under the cheapest candidate's
-/// work, and symmetric across engines); the clock reads are chained so each
+/// The benchmark's traced runs report these as the grow sub-timings.
+/// Collection costs a few monotonic-clock reads per candidate (well under
+/// the cheapest candidate's work); the clock reads are chained so each
 /// boundary is sampled once.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GrowPhaseStats {
@@ -63,7 +61,7 @@ impl GrowPhaseStats {
     /// legitimately exceed the stage's wall-clock `level_grow.duration`.
     /// Summing keeps the buckets thread-count-invariant — the same mining
     /// run reports the same sub-timings (up to clock noise) at any `threads`
-    /// setting — which is what the before/after perf comparisons need.
+    /// setting.
     pub fn merge(&mut self, other: &GrowPhaseStats) {
         self.candidates += other.candidates;
         self.check += other.check;
@@ -79,9 +77,8 @@ impl GrowPhaseStats {
 /// gathers, pattern-slot interning, and the σ-filter's dedup + support
 /// evaluation.
 ///
-/// The `perf` harness reports these as the per-level join sub-timings of
-/// `BENCH_stage1.json` (schema v7); collection uses the same chained
-/// TSC/monotonic sampling as the grow phases.
+/// Collection uses the same chained TSC/monotonic sampling as the grow
+/// phases.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JoinPhaseStats {
     /// Looking up posting lists and testing row-pair disjointness.

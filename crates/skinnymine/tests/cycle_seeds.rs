@@ -117,13 +117,17 @@ fn c3_is_mined_for_l1() {
 }
 
 // ---------------------------------------------------------------------------
-// The arc route against the 2l-path oracle, and entry-point identity.
+// The arc route against the 2l-path oracle, entry-point identity, and the
+// cross-cluster dedup funnel against its oracle.
 // ---------------------------------------------------------------------------
 
 mod routes {
     use proptest::prelude::*;
-    use skinny_graph::{GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
-    use skinnymine::{DiamMine, MinimalPatternIndex, MiningData, ReportMode, SkinnyMine, SkinnyMineConfig};
+    use skinny_graph::{fingerprint, GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
+    use skinnymine::{
+        duplicate_pattern_indices, duplicate_pattern_indices_reference, DiamMine, MinimalPatternIndex,
+        MiningData, ReportMode, SkinnyMine, SkinnyMineConfig, SkinnyPattern,
+    };
 
     /// Strategy: one small dense graph over at most two vertex labels and
     /// two edge labels, so short odd cycles are common and label-equal
@@ -198,8 +202,45 @@ mod routes {
         Ok(())
     }
 
+    /// `g` with its vertex ids reversed: an isomorphic copy whose vertex
+    /// and edge order differ from the original's.
+    fn reversed_vertices(g: &LabeledGraph) -> LabeledGraph {
+        let n = g.vertex_count() as u32;
+        let flip = |v: VertexId| VertexId(n - 1 - v.0);
+        let mut out = LabeledGraph::new();
+        for v in (0..n).rev() {
+            out.add_vertex(g.label(VertexId(v)));
+        }
+        for e in g.edges() {
+            out.add_edge(flip(e.u), flip(e.v), e.label).expect("the copy of a simple graph is simple");
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The cross-cluster dedup funnel drops exactly the indices its
+        /// reference drops.  The input is a mined result followed by a
+        /// reversed copy of itself whose graphs are vertex-permuted and whose
+        /// memoized keys are cleared, so every copy is an isomorphic
+        /// duplicate that the funnel finds through a shared fingerprint
+        /// bucket and a freshly computed key.
+        #[test]
+        fn dedup_funnel_matches_reference(g in any_graph(), sigma in 1..3usize, l in 1..=3usize) {
+            let config = SkinnyMineConfig::new(l, 1, sigma).with_report(ReportMode::All);
+            let mined = SkinnyMine::new(config).mine(&g).unwrap().patterns;
+            let copies = mined.iter().rev().map(|p| {
+                let graph = reversed_vertices(&p.graph);
+                SkinnyPattern { canon_fingerprint: fingerprint(&graph), canon_key: None, graph, ..p.clone() }
+            });
+            let patterns: Vec<SkinnyPattern> = mined.iter().cloned().chain(copies).collect();
+            let (funnel, _) = duplicate_pattern_indices(&patterns);
+            prop_assert_eq!(&funnel, &duplicate_pattern_indices_reference(&patterns));
+            // every copy duplicates an earlier original
+            let copy_indices: Vec<usize> = (mined.len()..patterns.len()).collect();
+            prop_assert!(funnel.ends_with(&copy_indices), "{:?}", funnel);
+        }
 
         #[test]
         fn arc_route_matches_oracle_on_single_graphs(g in any_graph(), sigma in 1..3usize, l in 1..=4usize) {

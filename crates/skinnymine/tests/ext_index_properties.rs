@@ -3,17 +3,17 @@
 //! (`LevelGrow::candidate_extensions_reference` + full re-scan) on random
 //! data — the **same candidate set in the same sorted order**, and for every
 //! candidate the **same supporting rows in the same order** (gather output
-//! byte-identical to `extend_embeddings`).  The miner's byte-identity
-//! guarantee across engines and thread counts rests on
-//! exactly these two facts.
+//! byte-identical to `extend_embeddings`).  The grower's byte-identity with
+//! its oracle ([`skinnymine::LevelGrow::reference`]) rests on exactly these
+//! two facts.
 
 use proptest::prelude::*;
 use skinny_graph::{
     CsrSnapshot, Label, LabeledGraph, SupportBatch, SupportMeasure, SupportScratch, VertexId,
 };
 use skinnymine::{
-    DiamMine, Exploration, Extension, GrowEngine, GrowScratch, GrownPattern, LevelGrow, MiningData,
-    ReportMode, SkinnyMine, SkinnyMineConfig,
+    DiamMine, Exploration, Extension, GrowScratch, GrownPattern, LevelGrow, MiningData, ReportMode, Seed,
+    SkinnyMineConfig,
 };
 
 /// Strategy: a small random labeled graph with few labels (3 vertex, 2 edge
@@ -312,21 +312,33 @@ proptest! {
         }
     }
 
+    /// Every Stage-I seed — path and odd cycle — grows the same cluster on
+    /// the indexed grower and on the reference oracle.
     #[test]
     fn engines_mine_identically(g in any_graph()) {
+        let data = CsrSnapshot::from_graph(&g);
+        let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
+        let paths = dm.mine_exact(2);
+        let cycles = dm.frequent_cycles(2);
+        let seeds = paths.iter().map(Seed::Path).chain(cycles.iter().map(Seed::Cycle));
         for (exploration, report) in [
             (Exploration::Exhaustive, ReportMode::All),
             (Exploration::ClosureJump, ReportMode::Closed),
         ] {
-            let indexed = SkinnyMineConfig::new(2, 1, 1)
+            let config = SkinnyMineConfig::new(2, 1, 1)
                 .with_report(report)
                 .with_exploration(exploration);
-            let reference = indexed.clone().with_grow_engine(GrowEngine::Reference);
-            let a = SkinnyMine::new(indexed).mine(&g).expect("non-empty input");
-            let b = SkinnyMine::new(reference).mine(&g).expect("non-empty input");
-            // byte-identical output: same patterns, same order, same
-            // embeddings, same flags
-            prop_assert_eq!(format!("{:?}", a.patterns), format!("{:?}", b.patterns));
+            let indexed = LevelGrow::new(MiningData::Snapshot(&data), &config);
+            let reference = LevelGrow::reference(MiningData::Snapshot(&data), &config);
+            let mut scratch = GrowScratch::new();
+            for seed in seeds.clone() {
+                let a = indexed.grow_seed_with(seed, &mut scratch);
+                let b = reference.grow_seed_with(seed, &mut scratch);
+                // byte-identical output: same patterns, same order, same
+                // embeddings, same flags
+                prop_assert_eq!(format!("{:?}", a.patterns), format!("{:?}", b.patterns));
+                prop_assert_eq!(a.examined, b.examined);
+            }
         }
     }
 }

@@ -3,11 +3,12 @@
 //! (skinny-graph), in both problem settings.
 
 use skinny_datagen::{
-    erdos_renyi, generate_dblp, generate_transaction_database, generate_weibo, inject_patterns,
-    skinny_pattern, DblpConfig, ErConfig, SkinnyPatternConfig, TransactionSetting, WeiboConfig,
+    erdos_renyi, generate_dblp, generate_transaction_database, generate_update_stream, generate_weibo,
+    generate_xl, inject_patterns, skinny_pattern, DblpConfig, ErConfig, SkinnyPatternConfig,
+    TransactionSetting, UpdateStreamSetting, WeiboConfig, XlSetting,
 };
 use skinny_graph::{analyze, SupportMeasure};
-use skinnymine::{Exploration, LengthConstraint, ReportMode, SkinnyMine, SkinnyMineConfig};
+use skinnymine::{Exploration, IncrementalMiner, LengthConstraint, ReportMode, SkinnyMine, SkinnyMineConfig};
 
 /// Injecting a known skinny pattern into a random background and mining with
 /// the matching (l, delta) request must recover it.
@@ -141,5 +142,39 @@ fn index_requests_match_direct_runs() {
         a.sort();
         b.sort();
         assert_eq!(a, b, "index-served result differs from direct mining at l = {l}");
+    }
+}
+
+/// The down-scaled corpus presets recover their planted patterns: the XL
+/// tier (every tenth transaction hosts one pattern) through a direct mine,
+/// and both update streams (one pattern per family, planted in every
+/// transaction of the family) through the incremental miner's first mine.
+#[test]
+fn scaled_presets_recover_their_planted_patterns() {
+    let xl = XlSetting::scaled(512);
+    let db = generate_xl(&xl, 2);
+    let sigma = db.len().div_ceil(10);
+    let config = SkinnyMineConfig::new(xl.pattern_diameter, 2, sigma)
+        .with_length(LengthConstraint::Exactly(xl.pattern_diameter))
+        .with_support_measure(SupportMeasure::Transactions)
+        .with_report(ReportMode::Closed)
+        .with_exploration(Exploration::ClosureJump)
+        .with_threads(2);
+    let result = SkinnyMine::new(config).mine_database(&db).expect("valid config");
+    assert!(!result.patterns.is_empty(), "the planted XL pattern was not recovered");
+
+    for (name, setting) in [
+        ("fig16-update", UpdateStreamSetting::fig16().scaled(4)),
+        ("xl-update", UpdateStreamSetting::xl().scaled(512)),
+    ] {
+        let config = SkinnyMineConfig::new(setting.pattern_diameter, 2, setting.planted_support())
+            .with_length(LengthConstraint::Exactly(setting.pattern_diameter))
+            .with_support_measure(SupportMeasure::Transactions)
+            .with_report(ReportMode::Closed)
+            .with_exploration(Exploration::ClosureJump)
+            .with_cycle_seeds(false)
+            .with_threads(2);
+        let miner = IncrementalMiner::new(config, generate_update_stream(&setting, 2)).expect("valid corpus");
+        assert!(!miner.result().patterns.is_empty(), "the planted {name} patterns were not recovered");
     }
 }
