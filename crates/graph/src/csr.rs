@@ -391,7 +391,7 @@ impl GraphView for CsrGraph {
 /// [`CsrGraph`] via [`SnapshotBuilder::build_into`]) reaches a steady state
 /// with **zero** heap allocations per graph — pinned by the counting
 /// allocator in `tests/alloc_hot_loops.rs`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SnapshotBuilder {
     /// Distinct vertex labels of the current graph, ascending.
     labels: Vec<Label>,

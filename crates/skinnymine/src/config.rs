@@ -128,11 +128,13 @@ pub struct SkinnyMineConfig {
     /// Whether Stage I also seeds frequent **odd cycles** `C_{2l+1}` — the
     /// minimal non-path constraint-satisfying patterns (e.g. C₅ for `l = 2`),
     /// which Stage II cannot reach from path seeds.  Required for
-    /// Definition-8 completeness on adversarial inputs.  Under an
-    /// anti-monotone support measure the cycles are paired from the
-    /// `l`-paths Stage I already mined; under `EmbeddingCount` and
-    /// `DistinctVertexSets` it costs an extra frequent-path pass at length
-    /// `2l` per admitted `l`.
+    /// Definition-8 completeness on adversarial inputs.  Every entry point
+    /// applies one rule per mined `l`: when the mined length range holds
+    /// `2l`, the stored `2l`-paths are closed; when `2l` lies inside the
+    /// range but was not mined, there is no cycle; past the range's upper
+    /// bound an anti-monotone measure pairs the `l`-paths Stage I already
+    /// mined, while `EmbeddingCount` and `DistinctVertexSets` cost an extra
+    /// frequent-path pass at the missing lengths `2l`, on one shared ladder.
     pub cycle_seeds: bool,
 }
 

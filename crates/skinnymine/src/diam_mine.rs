@@ -77,11 +77,11 @@ const MIN_PARALLEL_TXNS: usize = 64;
 pub struct DiamMine<'a> {
     snapshot: Cow<'a, CsrSnapshot>,
     sigma: usize,
-    support: SupportMeasure,
+    pub(crate) support: SupportMeasure,
     threads: usize,
     /// When set, [`DiamMine::frequent_edges`] returns this pre-computed
-    /// finalized level-1 set instead of scanning the data — the incremental
-    /// miner's injection point for its maintained seed table.  Every higher
+    /// finalized level-1 set instead of scanning the data — the injection
+    /// point of the maintained Stage-I state's level-1 table.  Every higher
     /// ladder level is a pure function of level 1, so the whole doubling
     /// ladder flows unchanged from the injected set.
     level1_override: Option<Vec<PathPattern>>,
@@ -370,9 +370,10 @@ impl<'a> DiamMine<'a> {
     /// [`DiamMine::frequent_edges`] calls return a clone of `level1` instead
     /// of scanning the data.  `level1` must be exactly what
     /// `frequent_edges()` would compute (deduped, σ-filtered, key-sorted with
-    /// sequential occurrence order) — the incremental miner guarantees this
-    /// by maintaining the unfiltered table under transaction deltas and
-    /// finalizing it per refresh.
+    /// sequential occurrence order) — the maintained Stage-I state of the
+    /// index and the incremental miner guarantees this by maintaining the
+    /// unfiltered table under transaction deltas and finalizing it per
+    /// update.
     pub fn with_frequent_edges(mut self, level1: Vec<PathPattern>) -> Self {
         self.level1_override = Some(level1);
         self
@@ -406,8 +407,8 @@ impl<'a> DiamMine<'a> {
 
     /// The **unfiltered** level-1 pattern table: every length-1 occurrence
     /// accumulated in sequential transaction order, before dedup and the
-    /// σ-filter.  This is the state the incremental miner maintains under
-    /// transaction deltas ([`DiamMine::frequent_edges`] =
+    /// σ-filter.  This is the state the index and the incremental miner
+    /// maintain under transaction deltas ([`DiamMine::frequent_edges`] =
     /// finalize(level1_table())); each slot's rows are in nondecreasing
     /// transaction order with each transaction's rows contiguous, which is
     /// what makes per-transaction retain + re-seed + transaction-ordered
@@ -435,7 +436,7 @@ impl<'a> DiamMine<'a> {
 
     /// Seed enumeration over one contiguous transaction shard, accumulating
     /// into `table` — the per-task body of [`DiamMine::frequent_edges`], and
-    /// the incremental miner's per-dirty-transaction re-seed (`t..t + 1`).
+    /// the per-dirty-transaction re-seed (`t..t + 1`) of a Stage-I update.
     pub(crate) fn seed_transactions(&self, range: std::ops::Range<usize>, table: &mut PatternTable) {
         for t in range {
             for ((la, el, lb), bucket) in self.graph(t).edge_triples() {
@@ -898,11 +899,13 @@ impl<'a> DiamMine<'a> {
     /// frequent paths of length `2l`: an occurrence closes into a cycle when
     /// its endpoints are adjacent in its transaction.
     ///
-    /// This is the **index** route.  The minimal-pattern index stores the
-    /// `2l`-paths anyway, so the closing check is all it pays.  The miner
-    /// also takes it for measures that are not anti-monotone, and it backs
-    /// the [`DiamMine::frequent_cycles`] oracle.  Rows and patterns come out
-    /// in the same canonical order as [`DiamMine::cycles_from_arcs`].
+    /// This is the **closing** route of the shared seed rule: whenever the
+    /// mined length range already holds the `2l`-paths (as an index built
+    /// with `max_len = None` does for every `l`), the closing check is all a
+    /// cycle costs.  Past the range it serves the measures that are not
+    /// anti-monotone, over `2l`-paths mined for it, and it backs the
+    /// [`DiamMine::frequent_cycles`] oracle.  Rows and patterns come out in
+    /// the same canonical order as [`DiamMine::cycles_from_arcs`].
     pub fn cycles_from_paths(&self, paths_2l: &[PathPattern], l: usize) -> Vec<CyclePattern> {
         let mut table = CycleTable::default();
         for p in paths_2l {
@@ -1040,7 +1043,7 @@ impl<'a> DiamMine<'a> {
 
     /// Filters candidates by support and removes duplicate occurrences.
     /// Output order is key-sorted, so it is independent of the input's slot
-    /// order — which is why the incremental miner's maintained table (whose
+    /// order — which is why the maintained level-1 table (whose
     /// slot order is historical first-occurrence order, not the current
     /// corpus's) finalizes to the exact from-scratch result.
     pub(crate) fn finalize(&self, patterns: Vec<PathPattern>) -> Vec<PathPattern> {

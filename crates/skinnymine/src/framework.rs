@@ -18,11 +18,7 @@
 //! counter-examples (not reducible / not continuous respectively), provided
 //! with empirical property checkers used in tests and benchmarks.
 
-use crate::config::{ReportMode, SkinnyMineConfig};
-use crate::error::MineResult;
-use crate::miner::SkinnyMine;
-use crate::result::MiningResult;
-use skinny_graph::{analyze, LabeledGraph, SupportMeasure};
+use skinny_graph::{analyze, LabeledGraph};
 
 /// A boolean constraint `f_C(P)` over graph patterns.
 pub trait GraphConstraint {
@@ -71,16 +67,6 @@ pub trait Continuous: GraphConstraint {
         }
         one_step_subpatterns(pattern).iter().any(|sub| self.satisfied(sub))
     }
-}
-
-/// A miner that implements the two-stage direct mining framework for its
-/// constraint.
-pub trait DirectMiner {
-    /// The constraint the miner handles.
-    type Constraint: Reducible + Continuous;
-
-    /// Stage 1 + Stage 2: mine all frequent constraint-satisfying patterns.
-    fn mine_direct(&self, graph: &LabeledGraph) -> MineResult<MiningResult>;
 }
 
 /// All connected sub-patterns obtained by deleting exactly one edge (and any
@@ -167,8 +153,8 @@ impl GraphConstraint for SkinnyConstraint {
     // holds for almost all patterns, but short cycles realizing the diameter
     // (e.g. C₅ for l = 2) are genuinely irreducible non-paths: removing any
     // edge or any vertex breaks the constraint.  The miner's Stage I seeds
-    // only paths, so such cycle-minimal patterns are a documented
-    // completeness gap (see README / ROADMAP).
+    // these odd cycles `C_{2l+1}` next to the paths (see
+    // `SkinnyMineConfig::cycle_seeds`).
 }
 
 impl Reducible for SkinnyConstraint {
@@ -178,43 +164,6 @@ impl Reducible for SkinnyConstraint {
 }
 
 impl Continuous for SkinnyConstraint {}
-
-/// A [`DirectMiner`] for the skinny constraint backed by [`SkinnyMine`].
-#[derive(Debug, Clone)]
-pub struct SkinnyDirectMiner {
-    constraint: SkinnyConstraint,
-    sigma: usize,
-    report: ReportMode,
-}
-
-impl SkinnyDirectMiner {
-    /// Creates the miner for an `(l, δ)`-SPM instance at support `sigma`.
-    pub fn new(constraint: SkinnyConstraint, sigma: usize) -> Self {
-        SkinnyDirectMiner { constraint, sigma, report: ReportMode::All }
-    }
-
-    /// Sets the report mode.
-    pub fn with_report(mut self, report: ReportMode) -> Self {
-        self.report = report;
-        self
-    }
-
-    /// The constraint being mined.
-    pub fn constraint(&self) -> SkinnyConstraint {
-        self.constraint
-    }
-}
-
-impl DirectMiner for SkinnyDirectMiner {
-    type Constraint = SkinnyConstraint;
-
-    fn mine_direct(&self, graph: &LabeledGraph) -> MineResult<MiningResult> {
-        let config = SkinnyMineConfig::new(self.constraint.l, self.constraint.delta, self.sigma)
-            .with_support_measure(SupportMeasure::DistinctVertexSets)
-            .with_report(self.report);
-        SkinnyMine::new(config).mine(graph)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Counter-example constraints from Section 5
@@ -397,23 +346,5 @@ mod tests {
             assert!(skinny_graph::is_connected(s));
             assert_eq!(s.edge_count(), 4);
         }
-    }
-
-    #[test]
-    fn direct_miner_for_skinny_constraint() {
-        // data: two copies of the twig pattern
-        let labels = vec![l(0), l(1), l(2), l(3), l(4), l(9), l(0), l(1), l(2), l(3), l(4), l(9)];
-        let g = LabeledGraph::from_unlabeled_edges(
-            &labels,
-            [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (6, 7), (7, 8), (8, 9), (9, 10), (8, 11)],
-        )
-        .unwrap();
-        let miner = SkinnyDirectMiner::new(SkinnyConstraint::new(4, 2), 2).with_report(ReportMode::All);
-        assert_eq!(miner.constraint().l, 4);
-        let result = miner.mine_direct(&g).unwrap();
-        assert_eq!(result.patterns.len(), 2);
-        // every reported pattern satisfies the constraint predicate
-        let c = miner.constraint();
-        assert!(result.patterns.iter().all(|p| c.satisfied(&p.graph)));
     }
 }

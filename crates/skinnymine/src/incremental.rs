@@ -5,22 +5,20 @@
 //! [`MiningResult`] up to date under per-transaction mutations without
 //! re-mining the whole corpus:
 //!
-//! 1. **Snapshot delta** — only the dirty transactions' CSR snapshots are
-//!    re-frozen, through the zero-alloc [`SnapshotBuilder::build_into`] warm
-//!    path (appends use [`CsrSnapshot::push_transaction`]).
-//! 2. **Stage-I delta** — length-1 support is additive across transactions:
-//!    the miner maintains the **unfiltered** level-1 [`PatternTable`], drops
-//!    the dirty transactions' rows, re-seeds exactly those transactions, and
-//!    stitches the re-seeded rows back in transaction order
-//!    ([`OccurrenceStore::merge_by_transaction`] — every slot's rows are
-//!    nondecreasing in transaction because seeding walks transactions in
-//!    ascending order, so a two-pointer merge restores the exact sequential
-//!    row order).  Finalizing (dedup + σ-filter + key-sort) the maintained
-//!    table then yields the exact from-scratch frequent-edge set — including
-//!    patterns whose support crossed σ in either direction — and the rest of
-//!    the doubling ladder is a pure function of that set, injected via
-//!    [`DiamMine::with_frequent_edges`].
-//! 3. **Stage-II delta** — every seed's grown [`ClusterOutcome`] is cached.
+//! 1. **Stage-I delta** — the miner holds the maintained Stage-I state that
+//!    [`crate::MinimalPatternIndex`] holds too, and folds each delta in
+//!    through the same `StageOne::apply`: only the dirty transactions'
+//!    CSR snapshots are re-frozen (through the zero-alloc
+//!    [`skinny_graph::SnapshotBuilder::build_into`] warm path; appends use
+//!    [`skinny_graph::CsrSnapshot::push_transaction`]), and, since length-1
+//!    support is additive across transactions, only their rows of the
+//!    **unfiltered** level-1 [`crate::PatternTable`] are dropped, re-seeded
+//!    and stitched back in transaction order.  Finalizing the maintained
+//!    table yields the exact from-scratch frequent-edge set — including
+//!    patterns whose support crossed σ in either direction — and the direct
+//!    miner's seed routine (the doubling ladder plus the cycle seeds) runs
+//!    on top of it.
+//! 2. **Stage-II delta** — every seed's grown [`ClusterOutcome`] is cached.
 //!    A cluster is re-grown only when its seed's embeddings changed or any
 //!    of its embedding transactions is dirty (checked against the cached
 //!    sorted transaction list, not by scanning rows); every other cluster's
@@ -39,14 +37,14 @@
 use crate::config::SkinnyMineConfig;
 use crate::cycle::CycleKey;
 use crate::data::MiningData;
-use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
 use crate::level_grow::{ClusterOutcome, Seed};
 use crate::miner::{fold_outcomes, miner_order, SkinnyMine};
-use crate::path_pattern::{PathKey, PatternTable};
+use crate::path_pattern::PathKey;
 use crate::result::MiningResult;
+use crate::stage_one::StageOne;
 use crate::stats::MiningStats;
-use skinny_graph::{CsrSnapshot, GraphDatabase, OccurrenceStore, SnapshotBuilder};
+use skinny_graph::{GraphDatabase, OccurrenceStore};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
@@ -111,12 +109,8 @@ fn disjoint(txns: &[u32], dirty: &BTreeSet<usize>) -> bool {
 pub struct IncrementalMiner {
     miner: SkinnyMine,
     db: GraphDatabase,
-    /// Maintained per-transaction CSR snapshot.
-    snapshot: CsrSnapshot,
-    /// Warm builder reused by every dirty-transaction re-freeze.
-    builder: SnapshotBuilder,
-    /// The maintained **unfiltered** level-1 pattern table.
-    level1: PatternTable,
+    /// The maintained snapshot and unfiltered level-1 table.
+    stage: StageOne,
     /// Cached grown clusters, keyed by seed identity.
     clusters: HashMap<SeedKey, CachedCluster>,
     /// The result of the last full mine or refresh.
@@ -134,23 +128,17 @@ impl IncrementalMiner {
         }
         db.clear_dirty();
         let mut stats = MiningStats::default();
-        let tf = Instant::now();
-        let snapshot = CsrSnapshot::from_database_with_threads(&db, config.threads);
-        stats.freeze_seconds = tf.elapsed().as_secs_f64();
-
-        // the unfiltered level-1 table, kept for maintenance
-        let t0 = Instant::now();
-        let level1 = DiamMine::new(MiningData::Snapshot(&snapshot), config.sigma, config.support)
-            .with_threads(config.threads)
-            .level1_table();
-        stats.diam_mine.duration = t0.elapsed();
-
+        let stage = StageOne::new(
+            MiningData::Transactions(&db),
+            config.sigma,
+            config.support,
+            config.threads,
+            &mut stats,
+        );
         let mut inc = IncrementalMiner {
             miner: SkinnyMine::new(config),
             db,
-            snapshot,
-            builder: SnapshotBuilder::new(),
-            level1,
+            stage,
             clusters: HashMap::new(),
             last: MiningResult::default(),
         };
@@ -187,13 +175,12 @@ impl IncrementalMiner {
     /// indexes — the memory price of delta refreshes instead of full
     /// re-mines (reported by the incremental bench section).
     pub fn maintained_bytes(&self) -> usize {
-        let snapshot = self.snapshot.heap_bytes();
         let clusters: usize = self
             .clusters
             .values()
             .map(|c| c.embeddings.heap_bytes() + c.txns.capacity() * std::mem::size_of::<u32>())
             .sum();
-        snapshot + self.level1.heap_bytes() + clusters
+        self.stage.heap_bytes() + clusters
     }
 
     /// Folds all updates since the last refresh into the maintained result
@@ -217,34 +204,10 @@ impl IncrementalMiner {
         }
         let dirty = self.db.take_dirty();
         let tm = Instant::now();
-        let config = self.miner.config();
         let mut stats = MiningStats::default();
-
-        // 1. Snapshot delta: re-freeze exactly the dirty transactions.
-        let tf = Instant::now();
-        self.snapshot.refreeze_dirty(&self.db, &dirty, &mut self.builder)?;
-        stats.freeze_seconds = tf.elapsed().as_secs_f64();
-
-        // 2. Level-1 delta: retain clean rows, re-seed dirty transactions
-        //    and stitch them back in transaction order.
-        let t0 = Instant::now();
-        let dm = DiamMine::new(MiningData::Snapshot(&self.snapshot), config.sigma, config.support)
-            .with_threads(config.threads);
-        // BTreeSet iteration ascends, matching remove_transactions' contract;
-        // slots untouched by the delta are skipped without a row scan.
-        let dirty_txns: Vec<u32> = dirty.iter().map(|&t| t as u32).collect();
-        self.level1.remove_transactions(&dirty_txns);
-        let mut partial = PatternTable::new();
-        for &t in &dirty {
-            if t < self.snapshot.len() {
-                dm.seed_transactions(t..t + 1, &mut partial);
-            }
-        }
-        self.level1.merge_by_transaction(partial);
-        stats.diam_mine.duration = t0.elapsed();
-
-        // 3. The ladder over the maintained table, and Stage II reusing the
-        //    clusters the delta left untouched.
+        self.stage.apply(&self.db, &dirty, &mut stats)?;
+        // the seeds over the maintained level 1, and Stage II reusing the
+        // clusters the delta left untouched
         let mut result = self.mine_maintained(&dirty, stats);
         result.stats.transactions_dirty = dirty.len() as u64;
         result.stats.maintain_seconds = tm.elapsed().as_secs_f64();
@@ -260,21 +223,17 @@ impl IncrementalMiner {
     /// and finished exactly as [`SkinnyMine::mine_data`] finishes.  Rebuilds
     /// the cluster cache for the next refresh.
     fn mine_maintained(&mut self, dirty: &BTreeSet<usize>, mut stats: MiningStats) -> MiningResult {
-        let IncrementalMiner { miner, snapshot, level1, clusters, .. } = self;
+        let IncrementalMiner { miner, stage, clusters, .. } = self;
         let config = miner.config();
         let t0 = Instant::now();
-        let dm = DiamMine::new(MiningData::Snapshot(snapshot), config.sigma, config.support)
-            .with_threads(config.threads);
-        // σ-filter before cloning: the read of the maintained table costs
-        // O(frequent set), not O(corpus)
-        let finalized = dm.finalize(level1.clone_frequent(config.sigma, config.support));
-        let seed_set = miner.mine_seeds(snapshot, Some(finalized), &mut stats);
+        let (lo, hi) = (config.length.min_len(), config.length.max_len());
+        let seed_set = stage.mine_seeds(lo, hi, config.cycle_seeds, &mut stats);
         stats.diam_mine.duration += t0.elapsed();
         stats.diam_mine.patterns_out = seed_set.len() as u64;
         stats.clusters = seed_set.len() as u64;
 
         let t1 = Instant::now();
-        let seeds = seed_set.as_seeds();
+        let seeds: Vec<Seed<'_>> = seed_set.seeds(|_| true).collect();
         let keys: Vec<SeedKey> = seeds.iter().map(|&seed| SeedKey::of(seed)).collect();
         let reused: Vec<bool> = seeds
             .iter()
@@ -287,7 +246,7 @@ impl IncrementalMiner {
             .collect();
         let regrow: Vec<Seed<'_>> =
             seeds.iter().zip(&reused).filter(|(_, &reuse)| !reuse).map(|(&seed, _)| seed).collect();
-        let fresh = miner.grow_outcomes(snapshot, &regrow, &mut stats);
+        let fresh = miner.grow_outcomes(stage.snapshot(), &regrow, &mut stats);
         let mut fresh_in_order = fresh.iter();
         let outcomes = keys.iter().zip(&reused).map(|(key, &reuse)| {
             Cow::Borrowed(if reuse {
@@ -302,8 +261,8 @@ impl IncrementalMiner {
 
         // the seeds are no longer borrowed: their embeddings move into the
         // rebuilt cache
-        let embeddings = seed_set.paths.into_iter().map(|p| p.embeddings);
-        let embeddings = embeddings.chain(seed_set.cycles.into_iter().map(|c| c.embeddings));
+        let embeddings = seed_set.paths.into_values().flatten().map(|p| p.embeddings);
+        let embeddings = embeddings.chain(seed_set.cycles.into_values().flatten().map(|c| c.embeddings));
         let mut fresh = fresh.into_iter();
         let mut next = HashMap::with_capacity(keys.len());
         let mut txn_scratch = Vec::new();
@@ -328,7 +287,7 @@ impl IncrementalMiner {
 mod tests {
     use super::*;
     use crate::config::ReportMode;
-    use skinny_graph::{Label, LabeledGraph, SupportMeasure, VertexId};
+    use skinny_graph::{CsrSnapshot, Label, LabeledGraph, SupportMeasure, VertexId};
 
     fn l(x: u32) -> Label {
         Label(x)

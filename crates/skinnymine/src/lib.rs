@@ -92,6 +92,7 @@ pub mod path_pattern;
 pub mod pattern_index;
 pub mod result;
 pub mod serving;
+mod stage_one;
 pub mod stats;
 
 pub use config::{ConstraintCheckMode, Exploration, LengthConstraint, ReportMode, SkinnyMineConfig};
@@ -105,8 +106,7 @@ pub use diam_mine::DiamMine;
 pub use error::{MineError, MineResult};
 pub use ext_index::{ExtEntry, ExtensionScratch, ExtensionTable};
 pub use framework::{
-    Continuous, DirectMiner, GraphConstraint, MaxDegreeConstraint, Reducible, RegularDegreeConstraint,
-    SkinnyConstraint, SkinnyDirectMiner,
+    Continuous, GraphConstraint, MaxDegreeConstraint, Reducible, RegularDegreeConstraint, SkinnyConstraint,
 };
 pub use grown::{Extension, GrowScratch, GrownPattern, StructScratch};
 pub use incremental::IncrementalMiner;

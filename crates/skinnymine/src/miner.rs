@@ -2,18 +2,16 @@
 //! by Stage II (LevelGrow) over every canonical-diameter cluster.
 
 use crate::config::SkinnyMineConfig;
-use crate::cycle::CyclePattern;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
 use crate::level_grow::{ClusterOutcome, LevelGrow, Seed};
-use crate::path_pattern::PathPattern;
 use crate::result::{MiningResult, SkinnyPattern};
+use crate::stage_one::mine_seeds;
 use crate::stats::MiningStats;
 use skinny_graph::{CsrSnapshot, GraphDatabase, LabeledGraph};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The SkinnyMine miner.
@@ -134,25 +132,6 @@ fn dedup_by_canonical_key(patterns: Vec<SkinnyPattern>, stats: &mut MiningStats)
         .collect()
 }
 
-/// Stage I's seeds, owned: every admissible frequent path, then every
-/// frequent minimal odd cycle.  [`SeedSet::as_seeds`] borrows them in that
-/// order, the seed order every entry point grows and folds in.
-#[derive(Debug)]
-pub(crate) struct SeedSet {
-    pub(crate) paths: Vec<PathPattern>,
-    pub(crate) cycles: Vec<CyclePattern>,
-}
-
-impl SeedSet {
-    pub(crate) fn len(&self) -> usize {
-        self.paths.len() + self.cycles.len()
-    }
-
-    pub(crate) fn as_seeds(&self) -> Vec<Seed<'_>> {
-        self.paths.iter().map(Seed::Path).chain(self.cycles.iter().map(Seed::Cycle)).collect()
-    }
-}
-
 /// The output order of a finished result, passed to [`SkinnyMine::finish`].
 pub(crate) type PatternOrder = fn(&SkinnyPattern, &SkinnyPattern) -> Ordering;
 
@@ -239,13 +218,18 @@ impl SkinnyMine {
 
         // ---------------- Stage I: DiamMine ----------------
         let t0 = Instant::now();
-        let seeds = self.mine_seeds(&snapshot, None, &mut stats);
+        let config = &self.config;
+        let dm = DiamMine::new(MiningData::Snapshot(&snapshot), config.sigma, config.support)
+            .with_threads(config.threads);
+        let (lo, hi) = (config.length.min_len(), config.length.max_len());
+        let seeds = mine_seeds(&dm, lo, hi, config.cycle_seeds, &mut stats);
         stats.diam_mine.duration = t0.elapsed();
         stats.diam_mine.patterns_out = seeds.len() as u64;
         stats.clusters = seeds.len() as u64;
 
         // ---------------- Stage II: LevelGrow ----------------
-        let patterns = self.grow_and_finish(&snapshot, &seeds.as_seeds(), miner_order, &mut stats);
+        let seeds: Vec<Seed<'_>> = seeds.seeds(|_| true).collect();
+        let patterns = self.grow_and_finish(&snapshot, &seeds, miner_order, &mut stats);
         Ok(MiningResult { patterns, stats })
     }
 
@@ -294,64 +278,6 @@ impl SkinnyMine {
         stats.largest_pattern_vertices = patterns.iter().map(|p| p.vertex_count() as u64).max().unwrap_or(0);
         stats.level_grow.patterns_out = patterns.len() as u64;
         patterns
-    }
-
-    /// Stage I: mine the seeds for every admissible length — the frequent
-    /// paths (canonical diameters), plus, when [`SkinnyMineConfig::cycle_seeds`]
-    /// is set, the frequent minimal odd cycles `C_{2l+1}` that path growth
-    /// cannot reach.  `level1` optionally injects a pre-computed finalized
-    /// frequent-edges set (the incremental miner's maintained table) in place
-    /// of the data scan; the ladder above level 1 runs unchanged.
-    ///
-    /// Under an anti-monotone measure the cycles come from the `l`-paths
-    /// already mined ([`DiamMine::cycles_from_arcs`]).  Otherwise the two
-    /// arcs of a frequent cycle need not be frequent, so the pass keeps the
-    /// `2l`-path route ([`DiamMine::cycles_from_paths`]), mining `2l`-paths
-    /// the range left out.  Both routes give the same bytes wherever both are
-    /// complete.
-    pub(crate) fn mine_seeds(
-        &self,
-        snapshot: &CsrSnapshot,
-        level1: Option<Vec<PathPattern>>,
-        stats: &mut MiningStats,
-    ) -> SeedSet {
-        let mut dm = DiamMine::new(MiningData::Snapshot(snapshot), self.config.sigma, self.config.support)
-            .with_threads(self.config.threads);
-        if let Some(level1) = level1 {
-            dm = dm.with_frequent_edges(level1);
-        }
-        let lo = self.config.length.min_len();
-        let hi = self.config.length.max_len();
-        let ranged = dm.mine_range_with_stats(lo, hi, stats);
-        let mut cycles: Vec<CyclePattern> = Vec::new();
-        if self.config.cycle_seeds && self.config.support.is_anti_monotone() {
-            for (&l, paths_l) in &ranged {
-                cycles.extend(dm.cycles_from_arcs(paths_l, l));
-            }
-        } else if self.config.cycle_seeds {
-            // a frequent C_{2l+1} implies frequent paths of length 2l, so
-            // when 2l lies inside the mined range and is absent there is no
-            // cycle either; only a bounded range can cut 2l off, and those
-            // missing even lengths are mined together over one shared
-            // doubling ladder
-            let missing: Vec<usize> = ranged
-                .keys()
-                .map(|&l| 2 * l)
-                .filter(|&n| !ranged.contains_key(&n) && hi.is_some_and(|h| n > h))
-                .collect();
-            let extra = if missing.is_empty() {
-                BTreeMap::new()
-            } else {
-                dm.mine_exact_many_with_stats(&missing, stats)
-            };
-            for &l in ranged.keys() {
-                if let Some(paths_2l) = ranged.get(&(2 * l)).or_else(|| extra.get(&(2 * l))) {
-                    cycles.extend(dm.cycles_from_paths(paths_2l, l));
-                }
-            }
-        }
-        // the cycle passes only borrowed the ladder's paths: move them out
-        SeedSet { paths: ranged.into_values().flatten().collect(), cycles }
     }
 
     /// Stage II: grows every seed's cluster and returns the per-seed

@@ -186,7 +186,7 @@ impl PathPattern {
 /// rehashes an owned key — the only allocations happen when a *new* pattern
 /// is first seen, so the join's allocation volume is proportional to emitted
 /// patterns, not scanned rows.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PatternTable {
     /// Patterns in first-occurrence order.
     slots: Vec<PathPattern>,
@@ -294,8 +294,8 @@ impl PatternTable {
     }
 
     /// Clones the patterns out of the table in first-occurrence order,
-    /// leaving the table intact — the incremental miner's way of reading the
-    /// maintained level-1 table each refresh without rebuilding it.
+    /// leaving the table intact (the maintained level-1 table is read
+    /// through the σ-filtering [`PatternTable::clone_frequent`] instead).
     pub fn to_patterns(&self) -> Vec<PathPattern> {
         self.slots.clone()
     }
@@ -305,9 +305,9 @@ impl PatternTable {
     /// filter hoisted in front of the clone: every support measure counts
     /// *distinct* images, so the duplicate rows finalization later drops
     /// never change a slot's verdict, and the slots skipped here are exactly
-    /// those the post-clone filter would discard.  It keeps the incremental
-    /// miner's per-refresh read of the maintained table proportional to the
-    /// frequent set, not to the corpus.
+    /// those the post-clone filter would discard.  It keeps each read of the
+    /// maintained level-1 table (per refresh or index update) proportional
+    /// to the frequent set, not to the corpus.
     pub fn clone_frequent(&self, sigma: usize, support: SupportMeasure) -> Vec<PathPattern> {
         let mut scratch = skinny_graph::SupportScratch::new();
         // support never exceeds the row count under any measure, so the

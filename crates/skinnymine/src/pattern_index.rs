@@ -14,16 +14,15 @@
 use crate::config::{LengthConstraint, ReportMode, SkinnyMineConfig};
 use crate::cycle::CyclePattern;
 use crate::data::MiningData;
-use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
 use crate::level_grow::Seed;
 use crate::miner::{index_order, SkinnyMine};
 use crate::path_pattern::PathPattern;
 use crate::result::MiningResult;
 use crate::serving::{ServeCache, ServingCacheConfig, ServingRequest, ServingResponse};
+use crate::stage_one::{SeedSet, StageOne};
 use crate::stats::{MiningStats, ServingStats};
-use skinny_graph::{CsrSnapshot, GraphDatabase, LabeledGraph, SnapshotBuilder, SupportMeasure};
-use std::collections::BTreeMap;
+use skinny_graph::{CsrSnapshot, GraphDatabase, LabeledGraph, SupportMeasure};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,11 +30,16 @@ use std::time::Instant;
 /// indexed by length plus the frequent minimal odd cycles `C_{2l+1}` — with
 /// their occurrences.
 ///
-/// The index freezes its data into a [`CsrSnapshot`] **once at build time**;
-/// Stage I runs over the snapshot's triple index and every subsequent
-/// [`MinimalPatternIndex::request`] is served from the same frozen columns.
-/// Only an index built over a transaction database also keeps the database
-/// itself, for [`MinimalPatternIndex::update_database`].
+/// The index holds the maintained Stage-I state the incremental miner
+/// holds too: the data frozen **once at build time** into a
+/// [`CsrSnapshot`], and the unfiltered level-1 table.  Stage I runs the
+/// direct miner's seed routine over every length up to `max_len`, so every
+/// `l` the index stores also has its cycles — closed from the stored
+/// `2l`-paths where the index holds them, paired from the `l`-arcs (or
+/// closed from `2l`-paths mined for the purpose) past a bounded `max_len`.
+/// Every [`MinimalPatternIndex::request`] is served from the same frozen
+/// columns.  Only an index built over a transaction database also keeps the
+/// database itself, for [`MinimalPatternIndex::update_database`].
 ///
 /// The index is `Sync`: one instance can serve [`MinimalPatternIndex::request`]s
 /// from many threads at once through the [`crate::serving`] layer — results
@@ -49,15 +53,11 @@ pub struct MinimalPatternIndex {
     /// The owned transaction database an update applies to (`None` for an
     /// index built over a single graph).
     database: Option<GraphDatabase>,
-    snapshot: CsrSnapshot,
-    sigma: usize,
-    support: SupportMeasure,
-    by_length: BTreeMap<usize, Vec<PathPattern>>,
-    /// Frequent `C_{2l+1}` seeds keyed by diameter length `l`, derivable only
-    /// for `2l` within the built path-length range.
-    cycles_by_diameter: BTreeMap<usize, Vec<CyclePattern>>,
+    stage: StageOne,
+    /// The stored seeds: paths by length, cycles by diameter length.
+    seeds: SeedSet,
     /// The `max_len` bound the index was built with, so a database update
-    /// can re-run Stage I over exactly the same length range.
+    /// re-runs the ladder over exactly the same length range.
     max_len: Option<usize>,
     build_time: std::time::Duration,
     cache: ServeCache,
@@ -67,11 +67,8 @@ impl Clone for MinimalPatternIndex {
     fn clone(&self) -> Self {
         MinimalPatternIndex {
             database: self.database.clone(),
-            snapshot: self.snapshot.clone(),
-            sigma: self.sigma,
-            support: self.support,
-            by_length: self.by_length.clone(),
-            cycles_by_diameter: self.cycles_by_diameter.clone(),
+            stage: self.stage.clone(),
+            seeds: self.seeds.clone(),
             max_len: self.max_len,
             build_time: self.build_time,
             // cached results come along as cheap Arc copies; counters and
@@ -115,8 +112,9 @@ impl MinimalPatternIndex {
         Self::build_from(MiningData::Single(graph), None, sigma, support, max_len, threads)
     }
 
-    /// Freezes `data` once (per-shard on the worker pool) and runs Stage I
-    /// over the snapshot, which all request serving then sweeps too.
+    /// Freezes `data` once (per-shard on the worker pool) into the
+    /// maintained Stage-I state and mines every length up to `max_len` from
+    /// it; all request serving then sweeps the same snapshot.
     fn build_from(
         data: MiningData<'_>,
         database: Option<GraphDatabase>,
@@ -126,46 +124,17 @@ impl MinimalPatternIndex {
         threads: usize,
     ) -> Self {
         let t0 = Instant::now();
-        let snapshot = data.to_snapshot_with_threads(threads).into_owned();
-        let (by_length, cycles_by_diameter) = Self::stage_one(&snapshot, sigma, support, max_len, threads);
+        let mut stats = MiningStats::default();
+        let stage = StageOne::new(data, sigma, support, threads, &mut stats);
+        let seeds = stage.mine_seeds(1, max_len, true, &mut stats);
         MinimalPatternIndex {
             database,
-            snapshot,
-            sigma,
-            support,
-            by_length,
-            cycles_by_diameter,
+            stage,
+            seeds,
             max_len,
             build_time: t0.elapsed(),
             cache: ServeCache::new(ServingCacheConfig::default()),
         }
-    }
-
-    /// Runs Stage I over the frozen snapshot: the frequent paths of every
-    /// length in range, plus the `C_{2l+1}` seeds derived from the stored
-    /// length-`2l` paths (lengths beyond the built range cannot be served —
-    /// documented on `request`).
-    #[allow(clippy::type_complexity)]
-    fn stage_one(
-        snapshot: &CsrSnapshot,
-        sigma: usize,
-        support: SupportMeasure,
-        max_len: Option<usize>,
-        threads: usize,
-    ) -> (BTreeMap<usize, Vec<PathPattern>>, BTreeMap<usize, Vec<CyclePattern>>) {
-        let dm = DiamMine::new(MiningData::Snapshot(snapshot), sigma, support).with_threads(threads);
-        let by_length = dm.mine_range(1, max_len);
-        let mut cycles = BTreeMap::new();
-        for (&len, paths) in &by_length {
-            if len % 2 == 0 {
-                let l = len / 2;
-                let found = dm.cycles_from_paths(paths, l);
-                if !found.is_empty() {
-                    cycles.insert(l, found);
-                }
-            }
-        }
-        (by_length, cycles)
     }
 
     /// Replaces the serving cache with a fresh one of the given shape
@@ -178,12 +147,12 @@ impl MinimalPatternIndex {
 
     /// Support threshold the index was built with.
     pub fn sigma(&self) -> usize {
-        self.sigma
+        self.stage.sigma
     }
 
     /// Support measure the index was built with.
     pub fn support_measure(&self) -> SupportMeasure {
-        self.support
+        self.stage.support
     }
 
     /// Time spent building the index (the pre-computation cost that is
@@ -194,38 +163,37 @@ impl MinimalPatternIndex {
 
     /// Lengths for which at least one frequent path exists, ascending.
     pub fn available_lengths(&self) -> Vec<usize> {
-        self.by_length.keys().copied().collect()
+        self.seeds.paths.keys().copied().collect()
     }
 
     /// The longest frequent path length, if any.
     pub fn max_available_length(&self) -> Option<usize> {
-        self.by_length.keys().next_back().copied()
+        self.seeds.paths.keys().next_back().copied()
     }
 
     /// The minimal path patterns (frequent paths) of length exactly `l`.
     pub fn minimal_patterns(&self, l: usize) -> &[PathPattern] {
-        self.by_length.get(&l).map(Vec::as_slice).unwrap_or(&[])
+        self.seeds.paths.get(&l).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The minimal cycle patterns `C_{2l+1}` of diameter length `l`.
     pub fn minimal_cycles(&self, l: usize) -> &[CyclePattern] {
-        self.cycles_by_diameter.get(&l).map(Vec::as_slice).unwrap_or(&[])
+        self.seeds.cycles.get(&l).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The CSR snapshot the index serves from.
     pub fn snapshot(&self) -> &CsrSnapshot {
-        &self.snapshot
+        self.stage.snapshot()
     }
 
     /// Total number of indexed minimal patterns (paths and cycles).
     pub fn len(&self) -> usize {
-        self.by_length.values().map(Vec::len).sum::<usize>()
-            + self.cycles_by_diameter.values().map(Vec::len).sum::<usize>()
+        self.seeds.len()
     }
 
     /// True when no frequent path was found at all.
     pub fn is_empty(&self) -> bool {
-        self.by_length.is_empty()
+        self.seeds.paths.is_empty()
     }
 
     /// Serves one mining request: grows the pre-computed minimal patterns of
@@ -251,21 +219,20 @@ impl MinimalPatternIndex {
     /// may keep a different subset.  The fix waits for a benchmark change,
     /// whose traced index request replays this order.
     ///
-    /// Cycle seeds (`C_{2l+1}`) are pre-derived at build time from the
-    /// stored length-`2l` paths, so an index built with a bounded `max_len`
-    /// can only serve them for `2l <= max_len`; build with `max_len = None`
-    /// for full Definition-8 completeness at every length.
+    /// Cycle seeds (`C_{2l+1}`) are pre-derived by the direct miner's seed
+    /// rule for every stored length, so an index built with a bounded
+    /// `max_len` serves them for every `l <= max_len`.
     pub fn request(&self, config: &SkinnyMineConfig) -> MineResult<Arc<MiningResult>> {
         config.validate()?;
-        if config.sigma < self.sigma {
+        if config.sigma < self.stage.sigma {
             return Err(MineError::InvalidConfig {
                 reason: format!(
                     "request support threshold {} is below the index threshold {}",
-                    config.sigma, self.sigma
+                    config.sigma, self.stage.sigma
                 ),
             });
         }
-        if config.support != self.support {
+        if config.support != self.stage.support {
             return Err(MineError::InvalidConfig {
                 reason: "request support measure differs from the index support measure".into(),
             });
@@ -280,7 +247,7 @@ impl MinimalPatternIndex {
     /// requests never clone a pattern and never occupy an extra cache slot.
     pub fn serve(&self, request: &ServingRequest) -> MineResult<ServingResponse> {
         request.validate()?;
-        let full = self.request(&request.base_config(self.support))?;
+        let full = self.request(&request.base_config(self.stage.support))?;
         Ok(ServingResponse::select(full, request))
     }
 
@@ -320,12 +287,15 @@ impl MinimalPatternIndex {
     }
 
     /// Applies an update to the owned graph-transaction database, then
-    /// brings the index back in sync: only the dirty transactions are
-    /// re-frozen into the CSR snapshot ([`CsrSnapshot::refreeze_dirty`],
-    /// as [`crate::IncrementalMiner::refresh`] does), Stage I re-runs over
-    /// the refreshed snapshot, and the data version stamp is bumped so
-    /// every result cached before the update is evicted per key on its
-    /// next lookup instead of being served stale.
+    /// brings the index back in sync through the maintained Stage-I state,
+    /// as [`crate::IncrementalMiner::refresh`] does: only the dirty
+    /// transactions are re-frozen into the CSR snapshot and re-seeded into
+    /// the level-1 table (no level-1 scan over clean transactions), the
+    /// ladder and the cycle seeds re-run over the maintained level 1, and
+    /// the data version stamp is bumped so every result cached before the
+    /// update is evicted per key on its next lookup instead of being served
+    /// stale.  The updated index is identical to one built from scratch
+    /// over the updated database.
     ///
     /// Use the marking mutators inside `mutate`
     /// ([`GraphDatabase::add_transaction`],
@@ -349,35 +319,32 @@ impl MinimalPatternIndex {
         if dirty.is_empty() {
             return Ok(self.cache.version());
         }
-        self.snapshot.refreeze_dirty(db, &dirty, &mut SnapshotBuilder::new())?;
-        let (by_length, cycles) = Self::stage_one(&self.snapshot, self.sigma, self.support, self.max_len, 1);
-        self.by_length = by_length;
-        self.cycles_by_diameter = cycles;
+        let mut stats = MiningStats::default();
+        self.stage.apply(db, &dirty, &mut stats)?;
+        self.seeds = self.stage.mine_seeds(1, self.max_len, true, &mut stats);
         Ok(self.cache.bump_version())
     }
 
     /// Grows the stored seeds the request admits through the direct
     /// miner's Stage II, finished in [`index_order`].
     fn serve_uncached(&self, config: &SkinnyMineConfig) -> MiningResult {
-        let admitted = |l: &usize| config.length.admits(*l);
-        let paths = self.by_length.iter().filter(|(l, _)| admitted(l)).flat_map(|(_, p)| p);
-        let mut seeds: Vec<Seed<'_>> = paths.map(Seed::Path).collect();
-        if config.cycle_seeds {
-            let cycles = self.cycles_by_diameter.iter().filter(|(l, _)| admitted(l)).flat_map(|(_, c)| c);
-            seeds.extend(cycles.map(Seed::Cycle));
-        }
-        seeds.retain(|seed| seed.support(config.support) >= config.sigma);
+        let seeds: Vec<Seed<'_>> = self
+            .seeds
+            .seeds(|l| config.length.admits(l))
+            .filter(|seed| config.cycle_seeds || matches!(seed, Seed::Path(_)))
+            .filter(|seed| seed.support(config.support) >= config.sigma)
+            .collect();
         let mut stats = MiningStats { clusters: seeds.len() as u64, ..MiningStats::default() };
         let miner = SkinnyMine::new(config.clone());
-        let patterns = miner.grow_and_finish(&self.snapshot, &seeds, index_order, &mut stats);
+        let patterns = miner.grow_and_finish(self.stage.snapshot(), &seeds, index_order, &mut stats);
         MiningResult { patterns, stats }
     }
 
     /// Convenience request builder: mine all `l`-long `delta`-skinny patterns
     /// from the index at the index's own support threshold.
     pub fn request_exact(&self, l: usize, delta: u32, report: ReportMode) -> MineResult<Arc<MiningResult>> {
-        let config = SkinnyMineConfig::new(l, delta, self.sigma)
-            .with_support_measure(self.support)
+        let config = SkinnyMineConfig::new(l, delta, self.stage.sigma)
+            .with_support_measure(self.stage.support)
             .with_report(report)
             .with_length(LengthConstraint::Exactly(l));
         self.request(&config)

@@ -181,14 +181,15 @@ mod routes {
         Ok(())
     }
 
-    /// A direct mine and an index request of the same configuration give
-    /// the same patterns, compared on each pattern's `Debug` bytes.  The
-    /// comparison ignores the reported order: the index's final sort breaks
-    /// fewer ties than the direct miner's, a known drift the benchmark's
-    /// traced index request still mirrors.
+    /// A direct mine and a request to an index built up to `max_len` of the
+    /// same configuration give the same patterns, compared on each pattern's
+    /// `Debug` bytes.  The comparison ignores the reported order: the
+    /// index's final sort breaks fewer ties than the direct miner's, a known
+    /// drift the benchmark's traced index request still mirrors.
     fn assert_index_matches_direct(
         db: &GraphDatabase,
         config: &SkinnyMineConfig,
+        max_len: Option<usize>,
     ) -> Result<(), TestCaseError> {
         let sorted_debug = |patterns: &[skinnymine::SkinnyPattern]| {
             let mut out: Vec<String> = patterns.iter().map(|p| format!("{p:?}")).collect();
@@ -196,9 +197,15 @@ mod routes {
             out
         };
         let direct = SkinnyMine::new(config.clone()).mine_database(db).unwrap();
-        let index = MinimalPatternIndex::build_for_database(db, config.sigma, config.support, None);
+        let index = MinimalPatternIndex::build_for_database(db, config.sigma, config.support, max_len);
         let served = index.request(config).unwrap();
-        prop_assert_eq!(sorted_debug(&served.patterns), sorted_debug(&direct.patterns), "{:?}", config);
+        prop_assert_eq!(
+            sorted_debug(&served.patterns),
+            sorted_debug(&direct.patterns),
+            "{:?}, index max_len {:?}",
+            config,
+            max_len
+        );
         Ok(())
     }
 
@@ -253,15 +260,19 @@ mod routes {
         }
 
         /// Every measure through both public entry points with cycle seeds
-        /// on: the arc route (`MinimumImage`, `Transactions`) and the kept
-        /// `2l` route (`EmbeddingCount`, `DistinctVertexSets`) against the
-        /// index, which closes its stored `2l`-paths.
+        /// on: the direct mine of `l` alone pairs arcs (`MinimumImage`,
+        /// `Transactions`) or closes `2l`-paths mined for it
+        /// (`EmbeddingCount`, `DistinctVertexSets`), against an index built
+        /// up to `max_len` ∈ {unbounded, `l`, `2l`}, which closes its stored
+        /// `2l`-paths where it holds them and takes the direct mine's route
+        /// past its bound.
         #[test]
         fn direct_mine_with_cycle_seeds_matches_index(
             db in any_database(1..=3),
             sigma in 1..3usize,
             l in 1..=3usize,
             measure in 0..4usize,
+            bound in 0..3usize,
         ) {
             let measure = [
                 SupportMeasure::MinimumImage,
@@ -272,7 +283,8 @@ mod routes {
             let config = SkinnyMineConfig::new(l, 1, sigma)
                 .with_support_measure(measure)
                 .with_report(ReportMode::All);
-            assert_index_matches_direct(&db, &config)?;
+            let max_len = [None, Some(l), Some(2 * l)][bound];
+            assert_index_matches_direct(&db, &config, max_len)?;
         }
     }
 

@@ -9,11 +9,15 @@
 //! `max_patterns` cap.  The miner under test is long-lived: one instance
 //! absorbs every chunk of the sequence, so maintained Stage-I tables and
 //! reused Stage-II clusters are carried across many refreshes, exactly as
-//! a serving deployment would.
+//! a serving deployment would.  The same generators drive
+//! [`MinimalPatternIndex::update_database`], whose updated index must equal
+//! a fresh build over the mutated database.
 
 use proptest::prelude::*;
 use skinny_graph::{GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
-use skinnymine::{IncrementalMiner, ReportMode, SkinnyMine, SkinnyMineConfig};
+use skinnymine::{
+    IncrementalMiner, LengthConstraint, MinimalPatternIndex, ReportMode, SkinnyMine, SkinnyMineConfig,
+};
 
 /// One database update, with raw indices that get reduced modulo the
 /// database's current shape at application time, so every generated op is
@@ -204,6 +208,51 @@ proptest! {
                     "thread counts disagree after round {}", round
                 );
             }
+        }
+    }
+
+    /// Arbitrary update chunks through a long-lived index's
+    /// `update_database`: after every chunk, the index is `Debug`-identical
+    /// to a fresh `build_for_database` over the mutated database — its
+    /// lengths, every stored path and cycle seed, and one uncached request
+    /// over every stored length — under both anti-monotone measures, built
+    /// unbounded and bounded (a bound of 2 pairs cycle arcs at `l = 2`).
+    #[test]
+    fn index_update_matches_fresh_build(
+        initial in proptest::collection::vec(any_graph(), 1..4),
+        chunks in proptest::collection::vec(proptest::collection::vec(any_op(), 1..5), 1..4),
+        measure in 0..2usize,
+        bound in 0..2usize,
+    ) {
+        let measure = [SupportMeasure::MinimumImage, SupportMeasure::Transactions][measure];
+        let max_len = [None, Some(2)][bound];
+        let build = |db: &GraphDatabase| MinimalPatternIndex::build_for_database(db, 2, measure, max_len);
+        let request = SkinnyMineConfig::new(1, 1, 2)
+            .with_length(LengthConstraint::AtLeast(1))
+            .with_support_measure(measure)
+            .with_report(ReportMode::All);
+        let stored = |index: &MinimalPatternIndex| {
+            let lengths = index.available_lengths();
+            let seeds: Vec<String> = lengths
+                .iter()
+                .map(|&l| format!("{:?} {:?}", index.minimal_patterns(l), index.minimal_cycles(l)))
+                .collect();
+            let served = index.request(&request).expect("the index serves its own measure");
+            format!("{lengths:?} {seeds:?} {:?}", served.patterns)
+        };
+        let mut mirror = GraphDatabase::from_graphs(initial);
+        let mut index = build(&mirror);
+        for (round, chunk) in chunks.iter().enumerate() {
+            for op in chunk {
+                apply(&mut mirror, op);
+            }
+            index
+                .update_database(|db| chunk.iter().for_each(|op| apply(db, op)))
+                .expect("a database index updates");
+            prop_assert_eq!(
+                stored(&index), stored(&build(&mirror)),
+                "round {}: the updated index diverged from a fresh build", round
+            );
         }
     }
 }
