@@ -31,7 +31,7 @@ fn bench_diammine_vs_l(c: &mut Criterion) {
     for &l in &[2usize, 4, 6, 8] {
         group.bench_with_input(BenchmarkId::new("diammine", l), &l, |b, &l| {
             b.iter(|| {
-                DiamMine::new(MiningData::Single(&graph), 2, SupportMeasure::DistinctVertexSets).mine_exact(l)
+                DiamMine::new(MiningData::Single(&graph), 2, SupportMeasure::MinimumImage).mine_exact(l)
             })
         });
     }
@@ -41,7 +41,7 @@ fn bench_diammine_vs_l(c: &mut Criterion) {
 /// Figure 17: LevelGrow runtime vs l with a pre-built index.
 fn bench_levelgrow_vs_l(c: &mut Criterion) {
     let graph = fig16_graph();
-    let index = MinimalPatternIndex::build(&graph, 2, SupportMeasure::DistinctVertexSets, Some(8));
+    let index = MinimalPatternIndex::build(&graph, 2, SupportMeasure::MinimumImage, Some(8));
     let mut group = c.benchmark_group("fig17_levelgrow_vs_l");
     group.sample_size(10);
     for &l in &[2usize, 4, 6] {
@@ -56,7 +56,7 @@ fn bench_levelgrow_vs_l(c: &mut Criterion) {
 /// Figures 18-19: LevelGrow runtime vs delta at a fixed diameter constraint.
 fn bench_levelgrow_vs_delta(c: &mut Criterion) {
     let graph = fig18_graph();
-    let index = MinimalPatternIndex::build(&graph, 2, SupportMeasure::DistinctVertexSets, Some(16));
+    let index = MinimalPatternIndex::build(&graph, 2, SupportMeasure::MinimumImage, Some(16));
     let mut group = c.benchmark_group("fig18_levelgrow_vs_delta");
     group.sample_size(10);
     for &delta in &[0u32, 2, 4, 6] {

@@ -30,9 +30,7 @@ fn bench_scalability(c: &mut Criterion) {
             b.iter(|| SkinnyMine::new(config(ConstraintCheckMode::Fast)).mine(g).expect("mining succeeds"))
         });
         group.bench_with_input(BenchmarkId::new("stage1_diammine_only", size), &graph, |b, g| {
-            b.iter(|| {
-                DiamMine::new(MiningData::Single(g), 2, SupportMeasure::DistinctVertexSets).mine_exact(4)
-            })
+            b.iter(|| DiamMine::new(MiningData::Single(g), 2, SupportMeasure::MinimumImage).mine_exact(4))
         });
     }
     group.finish();

@@ -109,16 +109,18 @@ impl Embedding {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum SupportMeasure {
     /// Raw number of embeddings (vertex mappings).  Automorphic patterns are
-    /// counted once per automorphism.
+    /// counted once per automorphism.  Not anti-monotone: SkinnyMine rejects
+    /// it for mining and keeps it for reporting and the baselines.
     EmbeddingCount,
     /// Number of distinct data-vertex sets among the embeddings.  This
     /// collapses automorphisms and matches the paper's "inject a pattern with
-    /// s embeddings" semantics; it is the default for the reproduction.
-    #[default]
+    /// s embeddings" semantics.  Not anti-monotone: SkinnyMine rejects it for
+    /// mining and keeps it for reporting and the baselines.
     DistinctVertexSets,
     /// Minimum-image-based support (MNI): the minimum, over pattern vertices,
-    /// of the number of distinct data vertices that vertex maps to.  MNI is
-    /// anti-monotone in the single-graph setting.
+    /// of the number of distinct data vertices that vertex maps to.  The
+    /// default, and the single-graph measure SkinnyMine mines under.
+    #[default]
     MinimumImage,
     /// Transaction support: number of distinct transactions containing at
     /// least one embedding (graph-transaction setting).
@@ -131,11 +133,18 @@ impl SupportMeasure {
     /// pattern is frequent too.
     ///
     /// [`SupportMeasure::MinimumImage`] and [`SupportMeasure::Transactions`]
-    /// are anti-monotone.  [`SupportMeasure::EmbeddingCount`] and
-    /// [`SupportMeasure::DistinctVertexSets`] are not: a super-pattern can
-    /// have more embeddings or vertex sets than its parts.  In a one-label
+    /// are anti-monotone by definition.  [`SupportMeasure::EmbeddingCount`]
+    /// and [`SupportMeasure::DistinctVertexSets`] are not: a super-pattern
+    /// can have more embeddings or vertex sets than its parts.  In a one-label
     /// K₆, for instance, the triangle has 20 vertex sets while the edge it
     /// contains has only 15.
+    ///
+    /// MNI is anti-monotone over the full embedding set, where every
+    /// automorphic image of a symmetric pattern is an embedding.  The miners
+    /// store a symmetric occurrence once, so the MNI they compute can rise
+    /// from a symmetric pattern to a super-pattern.  In the graph
+    /// `a(0)–b(0), a–c(1), b–d(1)` the stored `0–0` edge has MNI 1 and the
+    /// `0–0–1` path has MNI 2.
     pub fn is_anti_monotone(self) -> bool {
         matches!(self, SupportMeasure::MinimumImage | SupportMeasure::Transactions)
     }
@@ -345,8 +354,8 @@ mod tests {
     }
 
     #[test]
-    fn default_measure_is_distinct_vertex_sets() {
-        assert_eq!(SupportMeasure::default(), SupportMeasure::DistinctVertexSets);
+    fn default_measure_is_minimum_image() {
+        assert_eq!(SupportMeasure::default(), SupportMeasure::MinimumImage);
     }
 
     #[test]

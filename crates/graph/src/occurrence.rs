@@ -19,7 +19,6 @@ use crate::embedding::{Embedding, EmbeddingSet, SupportMeasure};
 use crate::graph::VertexId;
 use crate::occ_index::{KeyMarks, VertexMarks};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 
 /// Reusable buffers for the sort-based support computations
 /// ([`OccurrenceStore::support_with`]): one scratch per worker turns every
@@ -597,13 +596,15 @@ impl OccurrenceStore {
 }
 
 /// Batched support evaluation across **sibling candidates sharing one parent
-/// store**: the sort-based work every candidate used to redo over its own
-/// gathered rows (per-column `(transaction, image)` sorts for MNI, per-row
-/// set sorts for distinct-vertex-sets) is hoisted into a one-time
+/// store**: the per-column `(transaction, image)` sorts every candidate used
+/// to redo over its own gathered rows for MNI are hoisted into a one-time
 /// *rank-assignment pass over the parent*, after which each candidate is
 /// scored by linear passes over its supporting entries with epoch-stamped
-/// per-candidate accumulators — no child store is ever materialized for a
-/// support decision, so the reject path performs no gather at all.
+/// per-candidate accumulators — no child store is ever materialized for an
+/// MNI, transaction or embedding-count decision, so the reject path
+/// performs no gather at all.  Distinct vertex sets, which no miner runs
+/// under, gather the child rows into a store owned by the batch and count
+/// them with [`OccurrenceStore::distinct_vertex_sets_with`].
 ///
 /// [`SupportBatch::support_extended`] returns exactly the value of gathering
 /// `entries` into a child store ([`parent row` + optional new vertex] per
@@ -612,34 +613,26 @@ impl OccurrenceStore {
 ///
 /// Candidate entry lists are additionally **frontier-compressed**: entry row
 /// ids arrive ascending, so they collapse into delta-1 runs `(start, len)`
-/// and every row-indexed pass (parent columns, transactions, set ranks)
-/// walks those runs sequentially through the 4-byte rank columns instead of
-/// re-reading the 8-byte entry pairs per column — the reject path touches a
-/// fraction of the memory the gather-and-measure path did.
+/// and every row-indexed pass (parent columns, transactions) walks those
+/// runs sequentially through the 4-byte rank columns instead of re-reading
+/// the 8-byte entry pairs per column — the reject path touches a fraction
+/// of the memory the gather-and-measure path did.
 ///
-/// The rank tables are built lazily for the measure actually requested and
-/// reused until [`SupportBatch::invalidate`] marks the parent stale; all
-/// buffers are reused across parents (steady-state allocation-free).
+/// The rank tables are built lazily and reused until
+/// [`SupportBatch::invalidate`] marks the parent stale; all buffers are
+/// reused across parents (steady-state allocation-free).
 #[derive(Debug, Default, Clone)]
 pub struct SupportBatch {
-    /// Measure the rank tables currently serve (`None` = stale).
-    prepared: Option<SupportMeasure>,
+    /// True when the rank tables serve the current parent.
+    prepared: bool,
     /// Shape of the prepared parent, to size the rank columns.
     rows: usize,
     arity: usize,
     /// MNI: dense rank of `(transaction, image)` per row, one column of
     /// `rows` ranks per pattern vertex (flattened `arity × rows`).
     col_rank: Vec<u32>,
-    /// DVS: per-row sorted-and-deduplicated vertex sets (flat arena) ...
-    set_arena: Vec<VertexId>,
-    /// ... their deduplicated lengths ...
-    set_lens: Vec<u32>,
-    /// ... and the dense rank of each row's `(transaction, set)`.
-    set_rank: Vec<u32>,
     /// `(transaction, image, row)` sort buffer for rank assignment.
     rank_keys: Vec<(u32, VertexId, u32)>,
-    /// Row/entry index sort buffer.
-    order: Vec<u32>,
     /// Compressed row frontier of one candidate: delta-1 runs `(start, len)`
     /// over its (ascending, deduplicated) entry row ids.
     runs: Vec<(u32, u32)>,
@@ -647,6 +640,10 @@ pub struct SupportBatch {
     marks: VertexMarks,
     /// Composite per-candidate accumulator (e.g. `(transaction, vertex)`).
     key_marks: KeyMarks,
+    /// Distinct vertex sets: the gathered child rows of one candidate ...
+    child: OccurrenceStore,
+    /// ... and the scratch that counts them.
+    scratch: SupportScratch,
 }
 
 impl SupportBatch {
@@ -660,7 +657,7 @@ impl SupportBatch {
     /// built); the next evaluation re-prepares against the new parent.
     #[inline]
     pub fn invalidate(&mut self) {
-        self.prepared = None;
+        self.prepared = false;
     }
 
     /// Support of the child pattern whose occurrences are `parent` row `row`
@@ -680,13 +677,22 @@ impl SupportBatch {
         if entries.is_empty() {
             return 0;
         }
-        if measure == SupportMeasure::EmbeddingCount {
-            // the child row count is the entry count; nothing to prepare
-            return entries.len();
-        }
-        self.ensure_prepared(parent, measure);
         match measure {
-            SupportMeasure::EmbeddingCount => unreachable!("handled above"),
+            // the child row count is the entry count; nothing to prepare
+            SupportMeasure::EmbeddingCount => entries.len(),
+            SupportMeasure::DistinctVertexSets => {
+                self.child.reset(parent.arity + usize::from(adds_vertex));
+                self.child.reserve_rows(entries.len());
+                for &(row, w) in entries {
+                    let (t, base) = (parent.transaction(row as usize), parent.row(row as usize));
+                    if adds_vertex {
+                        self.child.push_row_extended(t, base, w);
+                    } else {
+                        self.child.push_row(t, base);
+                    }
+                }
+                self.child.distinct_vertex_sets_with(&mut self.scratch)
+            }
             SupportMeasure::Transactions => {
                 self.compress_frontier(entries);
                 self.key_marks.reset();
@@ -701,6 +707,7 @@ impl SupportBatch {
                 distinct
             }
             SupportMeasure::MinimumImage => {
+                self.ensure_prepared(parent);
                 self.compress_frontier(entries);
                 let mut min = usize::MAX;
                 for p in 0..self.arity {
@@ -730,49 +737,6 @@ impl SupportBatch {
                 }
                 min
             }
-            SupportMeasure::DistinctVertexSets => {
-                if !adds_vertex {
-                    // child sets equal parent sets: count distinct set ranks
-                    self.compress_frontier(entries);
-                    self.marks.reset();
-                    let mut distinct = 0usize;
-                    for &(start, len) in &self.runs {
-                        for r in start..start + len {
-                            if self.marks.mark(VertexId(self.set_rank[r as usize])) {
-                                distinct += 1;
-                            }
-                        }
-                    }
-                    distinct
-                } else {
-                    // child set = parent set ∪ {w}: group entries under the
-                    // augmented-set order without materializing any set
-                    let SupportBatch { order, set_arena, set_lens, arity, .. } = self;
-                    let arity = *arity;
-                    let set_of = |row: u32| {
-                        let i = row as usize;
-                        &set_arena[i * arity..i * arity + set_lens[i] as usize]
-                    };
-                    order.clear();
-                    order.extend(0..entries.len() as u32);
-                    order.sort_unstable_by(|&a, &b| {
-                        let (ra, wa) = entries[a as usize];
-                        let (rb, wb) = entries[b as usize];
-                        parent.transactions[ra as usize]
-                            .cmp(&parent.transactions[rb as usize])
-                            .then_with(|| cmp_augmented(set_of(ra), wa, set_of(rb), wb))
-                    });
-                    1 + order
-                        .windows(2)
-                        .filter(|pair| {
-                            let (ra, wa) = entries[pair[0] as usize];
-                            let (rb, wb) = entries[pair[1] as usize];
-                            parent.transactions[ra as usize] != parent.transactions[rb as usize]
-                                || cmp_augmented(set_of(ra), wa, set_of(rb), wb) != Ordering::Equal
-                        })
-                        .count()
-                }
-            }
         }
     }
 
@@ -793,9 +757,8 @@ impl SupportBatch {
     ///   count falls below `sigma` instead of walking all `arity + 1`
     ///   columns.
     ///
-    /// The augmented distinct-vertex-sets case has no distinct-row bound
-    /// (one row extended by `k` vertices yields up to `k` distinct sets), so
-    /// it falls through to the exact evaluation.
+    /// Embedding count and distinct vertex sets have no such shortcut and
+    /// return the exact evaluation.
     pub fn support_extended_pruned(
         &mut self,
         parent: &OccurrenceStore,
@@ -804,28 +767,26 @@ impl SupportBatch {
         adds_vertex: bool,
         sigma: usize,
     ) -> usize {
-        if entries.is_empty() || measure == SupportMeasure::EmbeddingCount {
+        if entries.is_empty()
+            || matches!(measure, SupportMeasure::EmbeddingCount | SupportMeasure::DistinctVertexSets)
+        {
             return self.support_extended(parent, measure, entries, adds_vertex);
         }
-        let mut cap = usize::MAX;
-        if !(measure == SupportMeasure::DistinctVertexSets && adds_vertex) {
-            self.compress_frontier(entries);
-            let distinct_rows: usize = self.runs.iter().map(|&(_, len)| len as usize).sum();
-            if distinct_rows < sigma {
-                return distinct_rows;
-            }
-            cap = distinct_rows;
+        self.compress_frontier(entries);
+        let distinct_rows: usize = self.runs.iter().map(|&(_, len)| len as usize).sum();
+        if distinct_rows < sigma {
+            return distinct_rows;
         }
         if measure != SupportMeasure::MinimumImage {
             return self.support_extended(parent, measure, entries, adds_vertex);
         }
-        self.ensure_prepared(parent, measure);
+        self.ensure_prepared(parent);
         // the frontier is already compressed above; `min` starts at the
         // distinct-row count because no column can exceed it, which lets
         // every column scan stop the moment its running count reaches the
         // minimum so far — the column then provably cannot lower the
         // minimum, so the final value stays exact
-        let mut min = cap;
+        let mut min = distinct_rows;
         for p in 0..self.arity {
             let col = &self.col_rank[p * self.rows..(p + 1) * self.rows];
             self.marks.reset();
@@ -862,20 +823,16 @@ impl SupportBatch {
         min
     }
 
-    /// Builds the rank tables the measure needs, unless they are already
-    /// prepared for this parent shape and measure.
-    fn ensure_prepared(&mut self, parent: &OccurrenceStore, measure: SupportMeasure) {
-        if self.prepared == Some(measure) && self.rows == parent.len() && self.arity == parent.arity {
+    /// Builds the MNI rank tables, unless they are already prepared for
+    /// this parent shape.
+    fn ensure_prepared(&mut self, parent: &OccurrenceStore) {
+        if self.prepared && self.rows == parent.len() && self.arity == parent.arity {
             return;
         }
         self.rows = parent.len();
         self.arity = parent.arity;
-        match measure {
-            SupportMeasure::EmbeddingCount | SupportMeasure::Transactions => {}
-            SupportMeasure::MinimumImage => self.prepare_column_ranks(parent),
-            SupportMeasure::DistinctVertexSets => self.prepare_set_ranks(parent),
-        }
-        self.prepared = Some(measure);
+        self.prepare_column_ranks(parent);
+        self.prepared = true;
     }
 
     /// One pass over the parent per column: dense ranks of `(transaction,
@@ -903,55 +860,6 @@ impl SupportBatch {
         }
     }
 
-    /// One pass over the parent: every row's sorted deduplicated vertex set
-    /// plus the dense rank of its `(transaction, set)`, shared by every
-    /// sibling candidate's distinct-vertex-sets evaluation.
-    fn prepare_set_ranks(&mut self, parent: &OccurrenceStore) {
-        let (rows, arity) = (self.rows, self.arity);
-        self.set_arena.clear();
-        self.set_arena.extend_from_slice(&parent.arena);
-        self.set_lens.clear();
-        for i in 0..rows {
-            let row = &mut self.set_arena[i * arity..(i + 1) * arity];
-            row.sort_unstable();
-            let mut w = 1usize;
-            for r in 1..arity {
-                if row[r] != row[w - 1] {
-                    row[w] = row[r];
-                    w += 1;
-                }
-            }
-            self.set_lens.push(w as u32);
-        }
-        let set_arena = &self.set_arena;
-        let set_lens = &self.set_lens;
-        let set_of = |i: u32| {
-            let i = i as usize;
-            &set_arena[i * arity..i * arity + set_lens[i] as usize]
-        };
-        self.order.clear();
-        self.order.extend(0..rows as u32);
-        self.order.sort_unstable_by(|&a, &b| {
-            parent.transactions[a as usize]
-                .cmp(&parent.transactions[b as usize])
-                .then_with(|| set_of(a).cmp(set_of(b)))
-        });
-        self.set_rank.clear();
-        self.set_rank.resize(rows, 0);
-        let mut rank = 0u32;
-        for j in 0..rows {
-            if j > 0 {
-                let (a, b) = (self.order[j - 1], self.order[j]);
-                if parent.transactions[a as usize] != parent.transactions[b as usize]
-                    || set_of(a) != set_of(b)
-                {
-                    rank += 1;
-                }
-            }
-            self.set_rank[self.order[j] as usize] = rank;
-        }
-    }
-
     /// Compresses a candidate's (ascending) entry row ids into delta-1 runs.
     fn compress_frontier(&mut self, entries: &[(u32, VertexId)]) {
         self.runs.clear();
@@ -973,58 +881,6 @@ impl SupportBatch {
             last = row;
         }
         self.runs.push((start, len));
-    }
-}
-
-/// Compares two child vertex sets `a ∪ {wa}` and `b ∪ {wb}` (each a sorted
-/// deduplicated parent set plus one new vertex, deduplicated) in
-/// lexicographic order without materializing either union — the comparator
-/// behind the batched distinct-vertex-sets grouping.
-fn cmp_augmented(a: &[VertexId], wa: VertexId, b: &[VertexId], wb: VertexId) -> Ordering {
-    let (mut ia, mut ib) = (0usize, 0usize);
-    let (mut used_a, mut used_b) = (false, false);
-    loop {
-        let x = next_augmented(a, &mut ia, wa, &mut used_a);
-        let y = next_augmented(b, &mut ib, wb, &mut used_b);
-        match (x, y) {
-            (Some(x), Some(y)) => match x.cmp(&y) {
-                Ordering::Equal => continue,
-                other => return other,
-            },
-            (None, None) => return Ordering::Equal,
-            (None, Some(_)) => return Ordering::Less,
-            (Some(_), None) => return Ordering::Greater,
-        }
-    }
-}
-
-/// Yields the next element of sorted `set` with `w` merged in (emitted once
-/// even when `w` is already a member).
-#[inline]
-fn next_augmented(set: &[VertexId], i: &mut usize, w: VertexId, used_w: &mut bool) -> Option<VertexId> {
-    match (set.get(*i).copied(), *used_w) {
-        (Some(v), false) => {
-            if v < w {
-                *i += 1;
-                Some(v)
-            } else if v == w {
-                *i += 1;
-                *used_w = true;
-                Some(v)
-            } else {
-                *used_w = true;
-                Some(w)
-            }
-        }
-        (Some(v), true) => {
-            *i += 1;
-            Some(v)
-        }
-        (None, false) => {
-            *used_w = true;
-            Some(w)
-        }
-        (None, true) => None,
     }
 }
 

@@ -105,13 +105,14 @@ pub struct SkinnyMineConfig {
     pub delta: u32,
     /// Minimum support threshold σ.
     pub sigma: usize,
-    /// How `|E[P]|` is counted.
+    /// How `|E[P]|` is counted.  Only the anti-monotone measures
+    /// ([`SupportMeasure::is_anti_monotone`]) can be mined, because both
+    /// stages extend only frequent patterns: [`SupportMeasure::MinimumImage`]
+    /// (the default) and [`SupportMeasure::Transactions`].
+    /// [`SkinnyMineConfig::validate`] rejects the other two.
     pub support: SupportMeasure,
     /// Which patterns are reported.
     pub report: ReportMode,
-    /// Whether the bare canonical-diameter paths (the minimal
-    /// constraint-satisfying patterns) are included in the result.
-    pub include_diameter_paths: bool,
     /// Constraint maintenance strategy.
     pub constraint_check: ConstraintCheckMode,
     /// Cluster exploration strategy.
@@ -132,9 +133,8 @@ pub struct SkinnyMineConfig {
     /// applies one rule per mined `l`: when the mined length range holds
     /// `2l`, the stored `2l`-paths are closed; when `2l` lies inside the
     /// range but was not mined, there is no cycle; past the range's upper
-    /// bound an anti-monotone measure pairs the `l`-paths Stage I already
-    /// mined, while `EmbeddingCount` and `DistinctVertexSets` cost an extra
-    /// frequent-path pass at the missing lengths `2l`, on one shared ladder.
+    /// bound the `l`-paths Stage I already mined are paired, with no extra
+    /// path pass.
     pub cycle_seeds: bool,
 }
 
@@ -146,9 +146,8 @@ impl SkinnyMineConfig {
             length: LengthConstraint::Exactly(l),
             delta,
             sigma,
-            support: SupportMeasure::DistinctVertexSets,
+            support: SupportMeasure::MinimumImage,
             report: ReportMode::Closed,
-            include_diameter_paths: true,
             constraint_check: ConstraintCheckMode::Fast,
             exploration: Exploration::Exhaustive,
             max_patterns: None,
@@ -200,12 +199,6 @@ impl SkinnyMineConfig {
         self
     }
 
-    /// Sets whether the canonical-diameter paths themselves are reported.
-    pub fn with_diameter_paths(mut self, include: bool) -> Self {
-        self.include_diameter_paths = include;
-        self
-    }
-
     /// Sets the cap on reported patterns.
     pub fn with_max_patterns(mut self, cap: Option<usize>) -> Self {
         self.max_patterns = cap;
@@ -224,7 +217,8 @@ impl SkinnyMineConfig {
         key
     }
 
-    /// Basic sanity validation of the configuration.
+    /// Validates the configuration, including that its support measure is
+    /// anti-monotone: the miner is complete only for such a measure.
     pub fn validate(&self) -> Result<(), crate::error::MineError> {
         use crate::error::MineError;
         if self.length.min_len() == 0 {
@@ -244,6 +238,14 @@ impl SkinnyMineConfig {
         }
         if self.threads == 0 {
             return Err(MineError::InvalidConfig { reason: "thread count must be at least 1".into() });
+        }
+        if !self.support.is_anti_monotone() {
+            return Err(MineError::InvalidConfig {
+                reason: format!(
+                    "support measure {:?} is not anti-monotone; mine under MinimumImage or Transactions",
+                    self.support
+                ),
+            });
         }
         Ok(())
     }
@@ -285,14 +287,12 @@ mod tests {
             .with_report(ReportMode::All)
             .with_threads(4)
             .with_constraint_check(ConstraintCheckMode::Exact)
-            .with_diameter_paths(false)
             .with_max_patterns(Some(10));
         assert_eq!(c.delta, 2);
         assert_eq!(c.sigma, 3);
         assert_eq!(c.report, ReportMode::All);
         assert_eq!(c.threads, 4);
         assert_eq!(c.constraint_check, ConstraintCheckMode::Exact);
-        assert!(!c.include_diameter_paths);
         assert_eq!(c.max_patterns, Some(10));
         assert!(c.validate().is_ok());
     }
@@ -310,5 +310,9 @@ mod tests {
         let bad_range = SkinnyMineConfig::new(4, 2, 2).with_length(LengthConstraint::Between(6, 3));
         assert!(bad_range.validate().is_err());
         assert!(SkinnyMineConfig::default().validate().is_ok());
+        for measure in [SupportMeasure::EmbeddingCount, SupportMeasure::DistinctVertexSets] {
+            let err = SkinnyMineConfig::new(4, 2, 2).with_support_measure(measure).validate().unwrap_err();
+            assert!(err.to_string().contains(&format!("{measure:?}")), "{err}");
+        }
     }
 }

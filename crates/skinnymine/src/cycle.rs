@@ -3,8 +3,9 @@
 //!
 //! For diameter length `l`, the odd cycle on `2l + 1` vertices has diameter
 //! exactly `l`, and every one-edge or one-vertex reduction changes that
-//! diameter — so `C_{2l+1}` is a genuinely minimal pattern of the `(l, δ)`
-//! constraint for `δ >= 1` (e.g. C₅ for `l = 2`), and Stage II can never
+//! diameter — so `C_{2l+1}`, which is `(l, ⌈l/2⌉)`-skinny, is a genuinely
+//! minimal pattern of the `(l, δ)` constraint for `δ >= ⌈l/2⌉` (e.g. C₅ for
+//! `l = 2`, `δ >= 1`), and Stage II can never
 //! reach it by growing a path seed: each intermediate would violate the
 //! canonical-diameter invariant.  Definition-8 completeness on adversarial
 //! inputs therefore needs these cycles seeded directly.
@@ -18,14 +19,19 @@
 //!   its minimum vertex into two `l`-arcs that start there, share nothing
 //!   else, and whose far ends are joined by the closing edge.  Both arcs are
 //!   sub-patterns of the cycle, so under an anti-monotone measure they are
-//!   frequent whenever the cycle is; this is the route the miner takes for
-//!   [`SupportMeasure::MinimumImage`] and [`SupportMeasure::Transactions`].
+//!   frequent whenever the cycle is.  The miner admits only such measures
+//!   ([`SupportMeasure::MinimumImage`] and [`SupportMeasure::Transactions`]),
+//!   so this is its route whenever the `2l`-paths were not mined.
 //! * **`2l`-paths** — [`DiamMine::cycles_from_paths`](crate::diam_mine::DiamMine::cycles_from_paths)
 //!   checks which frequent length-`2l` paths close into a cycle.  The
-//!   minimal-pattern index uses it (it stores those paths anyway), the
-//!   miner falls back to it for measures that are not anti-monotone, and
+//!   seed rule uses it whenever the mined length range holds those paths
+//!   anyway (as an unbounded minimal-pattern index does), and
 //!   [`DiamMine::frequent_cycles`](crate::diam_mine::DiamMine::frequent_cycles)
 //!   keeps it as the test oracle.
+//!
+//! Stage II grows a cycle cluster like a path cluster but reports only the
+//! patterns within δ, so a cycle wider than δ seeds growth without being
+//! reported itself.
 //!
 //! A labeled cycle has `2m` symmetries (`m` rotations × 2 directions);
 //! [`CyclePattern::canonicalize`] quotients them out so each undirected cycle

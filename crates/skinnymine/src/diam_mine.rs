@@ -77,7 +77,7 @@ const MIN_PARALLEL_TXNS: usize = 64;
 pub struct DiamMine<'a> {
     snapshot: Cow<'a, CsrSnapshot>,
     sigma: usize,
-    pub(crate) support: SupportMeasure,
+    support: SupportMeasure,
     threads: usize,
     /// When set, [`DiamMine::frequent_edges`] returns this pre-computed
     /// finalized level-1 set instead of scanning the data — the injection
@@ -882,11 +882,10 @@ impl<'a> DiamMine<'a> {
     ///
     /// This is the **oracle** route: it mines every frequent path of length
     /// `2l` with a ladder of its own and keeps the occurrences whose
-    /// endpoints are adjacent ([`DiamMine::cycles_from_paths`]).  It relies
-    /// on the cycle's `2l`-sub-paths being frequent rather than its
-    /// `l`-arcs, and pays for the whole `2l` ladder to do so.  The miner
-    /// seeds from [`DiamMine::cycles_from_arcs`] under anti-monotone
-    /// measures; the property tests hold the two routes byte-identical.
+    /// endpoints are adjacent ([`DiamMine::cycles_from_paths`]), paying for
+    /// the whole `2l` ladder to do so.  The miner pairs `l`-arcs instead
+    /// ([`DiamMine::cycles_from_arcs`]) unless it mined the `2l`-paths
+    /// anyway; the property tests hold the two routes byte-identical.
     pub fn frequent_cycles(&self, l: usize) -> Vec<CyclePattern> {
         if l == 0 {
             return Vec::new();
@@ -902,10 +901,9 @@ impl<'a> DiamMine<'a> {
     /// This is the **closing** route of the shared seed rule: whenever the
     /// mined length range already holds the `2l`-paths (as an index built
     /// with `max_len = None` does for every `l`), the closing check is all a
-    /// cycle costs.  Past the range it serves the measures that are not
-    /// anti-monotone, over `2l`-paths mined for it, and it backs the
-    /// [`DiamMine::frequent_cycles`] oracle.  Rows and patterns come out in
-    /// the same canonical order as [`DiamMine::cycles_from_arcs`].
+    /// cycle costs.  It also backs the [`DiamMine::frequent_cycles`] oracle.
+    /// Rows and patterns come out in the same canonical order as
+    /// [`DiamMine::cycles_from_arcs`].
     pub fn cycles_from_paths(&self, paths_2l: &[PathPattern], l: usize) -> Vec<CyclePattern> {
         let mut table = CycleTable::default();
         for p in paths_2l {

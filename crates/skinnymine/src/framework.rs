@@ -154,7 +154,10 @@ impl GraphConstraint for SkinnyConstraint {
     // (e.g. C₅ for l = 2) are genuinely irreducible non-paths: removing any
     // edge or any vertex breaks the constraint.  The miner's Stage I seeds
     // these odd cycles `C_{2l+1}` next to the paths (see
-    // `SkinnyMineConfig::cycle_seeds`).
+    // `SkinnyMineConfig::cycle_seeds`).  The even cycles `C_{2l}` for
+    // l >= 3 are minimal as well (an edge removal leaves a path of length
+    // 2l - 1, a vertex removal one of length 2l - 2), but Stage I does not
+    // seed them, so the miner misses them: an open completeness gap.
 }
 
 impl Reducible for SkinnyConstraint {

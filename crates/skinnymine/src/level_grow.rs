@@ -385,9 +385,9 @@ impl<'a> LevelGrow<'a> {
                                 closed_support = sup;
                                 advanced = true;
                             } else {
-                                // note: embedding-based support is not
-                                // anti-monotone, so a super-pattern's
-                                // support can also exceed the parent's
+                                // a support-changing extension: it branches
+                                // whichever way the support moved (the
+                                // stored MNI of a symmetric pattern can rise)
                                 branches.push(child);
                             }
                         }
@@ -419,9 +419,9 @@ impl<'a> LevelGrow<'a> {
                                 closed_support = sup;
                                 advanced = true;
                             } else {
-                                // note: embedding-based support is not
-                                // anti-monotone, so a super-pattern's
-                                // support can also exceed the parent's
+                                // a support-changing extension: it branches
+                                // whichever way the support moved (the
+                                // stored MNI of a symmetric pattern can rise)
                                 branches.push(child);
                             }
                         }
@@ -749,10 +749,16 @@ impl<'a> LevelGrow<'a> {
         out
     }
 
-    /// Applies the report-mode filter and converts a grown pattern into a
-    /// result pattern, carrying the canonical fingerprint and (when the
-    /// dedup funnel already paid for it) the memoized canonical key so
-    /// downstream cross-cluster dedup never recomputes either.
+    /// Applies the skinniness bound and the report-mode filter and converts
+    /// a grown pattern into a result pattern, carrying the canonical
+    /// fingerprint and (when the dedup funnel already paid for it) the
+    /// memoized canonical key so downstream cross-cluster dedup never
+    /// recomputes either.
+    ///
+    /// The bound matters for cycle clusters: `C_{2l+1}` is
+    /// `(l, ⌈l/2⌉)`-skinny, so its root (and possibly its descendants) can
+    /// be wider than δ.  Such patterns are grown but never reported, because
+    /// a chord can bring a descendant back within δ.
     fn report(
         &self,
         pattern: &GrownPattern,
@@ -762,9 +768,7 @@ impl<'a> LevelGrow<'a> {
         canon_fingerprint: u64,
         canon_key: Option<DfsCode>,
     ) -> Option<SkinnyPattern> {
-        let is_bare_path = pattern.graph.vertex_count() == pattern.diameter_len + 1
-            && pattern.graph.edge_count() == pattern.diameter_len;
-        if is_bare_path && !self.config.include_diameter_paths {
+        if pattern.max_level() > self.config.delta {
             return None;
         }
         let keep = match self.config.report {
@@ -913,15 +917,6 @@ mod tests {
         assert_eq!(patterns.len(), 1);
         assert_eq!(patterns[0].vertex_count(), 5);
         assert_eq!(patterns[0].skinniness, 0);
-    }
-
-    #[test]
-    fn exclude_diameter_paths_flag() {
-        let g = data();
-        let config = SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All).with_diameter_paths(false);
-        let patterns = grow_with(&config, &g);
-        assert_eq!(patterns.len(), 1);
-        assert_eq!(patterns[0].vertex_count(), 6);
     }
 
     #[test]

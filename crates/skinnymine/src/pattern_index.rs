@@ -82,6 +82,11 @@ impl Clone for MinimalPatternIndex {
 impl MinimalPatternIndex {
     /// Builds the index over a single graph for every frequent path length up
     /// to `max_len` (`None` = up to the longest frequent path).
+    ///
+    /// Every builder takes any support measure, but only an anti-monotone
+    /// one can be served: an index built under `EmbeddingCount` or
+    /// `DistinctVertexSets` answers every request with
+    /// [`MineError::InvalidConfig`] (see [`SkinnyMineConfig::validate`]).
     pub fn build(
         graph: &LabeledGraph,
         sigma: usize,
@@ -200,8 +205,9 @@ impl MinimalPatternIndex {
     /// every admissible length under the request's δ / report settings.
     ///
     /// The request's `sigma` must not be below the index's `sigma` (the index
-    /// would be missing minimal patterns otherwise) and the support measure
-    /// must match.
+    /// would be missing minimal patterns otherwise), and the support measure
+    /// must match and pass [`SkinnyMineConfig::validate`]; otherwise the
+    /// request fails with [`MineError::InvalidConfig`].
     ///
     /// Repeated requests with an identical configuration are answered from
     /// the serving cache as a shared `Arc` handle (a pointer-copy — the
@@ -373,7 +379,7 @@ mod tests {
     #[test]
     fn index_contains_all_lengths() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         assert_eq!(idx.available_lengths(), vec![1, 2, 3, 4]);
         assert_eq!(idx.max_available_length(), Some(4));
         assert!(!idx.is_empty());
@@ -381,13 +387,13 @@ mod tests {
         assert_eq!(idx.minimal_patterns(4).len(), 1);
         assert!(idx.minimal_patterns(9).is_empty());
         assert_eq!(idx.sigma(), 2);
-        assert_eq!(idx.support_measure(), SupportMeasure::DistinctVertexSets);
+        assert_eq!(idx.support_measure(), SupportMeasure::MinimumImage);
     }
 
     #[test]
     fn request_matches_direct_mining() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         let config = SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All);
         let via_index = idx.request(&config).unwrap();
         let direct = SkinnyMine::new(config).mine(&g).unwrap();
@@ -405,7 +411,7 @@ mod tests {
     #[test]
     fn repeated_requests_with_varied_l() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         for l_req in 1..=4 {
             let r = idx.request_exact(l_req, 2, ReportMode::All).unwrap();
             assert!(r.patterns.iter().all(|p| p.diameter_len == l_req));
@@ -419,12 +425,12 @@ mod tests {
     #[test]
     fn request_rejects_lower_sigma_or_other_measure() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         let lower_sigma = SkinnyMineConfig::new(4, 2, 1);
         assert!(idx.request(&lower_sigma).is_err());
-        let other_measure =
-            SkinnyMineConfig::new(4, 2, 2).with_support_measure(SupportMeasure::EmbeddingCount);
-        assert!(idx.request(&other_measure).is_err());
+        for other in [SupportMeasure::Transactions, SupportMeasure::EmbeddingCount] {
+            assert!(idx.request(&SkinnyMineConfig::new(4, 2, 2).with_support_measure(other)).is_err());
+        }
         // higher sigma is fine: seeds are re-filtered
         let higher_sigma = SkinnyMineConfig::new(4, 2, 3);
         let r = idx.request(&higher_sigma).unwrap();
@@ -434,14 +440,14 @@ mod tests {
     #[test]
     fn bounded_build_length() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, Some(2));
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, Some(2));
         assert_eq!(idx.available_lengths(), vec![1, 2]);
     }
 
     #[test]
     fn cache_hits_share_one_arc() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         let config = SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All);
         let first = idx.request(&config).unwrap();
         let second = idx.request(&config).unwrap();
@@ -458,7 +464,7 @@ mod tests {
     #[test]
     fn purge_cache_forces_a_fresh_run() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None)
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None)
             .with_cache_config(ServingCacheConfig::new(2, 64));
         let config = SkinnyMineConfig::new(3, 2, 2).with_report(ReportMode::All);
         idx.request(&config).unwrap();
@@ -471,7 +477,7 @@ mod tests {
     #[test]
     fn clone_carries_the_warm_cache() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         let config = SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All);
         let original = idx.request(&config).unwrap();
         let copy = idx.clone();
@@ -486,7 +492,7 @@ mod tests {
     #[test]
     fn typed_requests_are_views_over_the_cached_result() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         let all = idx.serve_text("l=2 delta=2 sigma=2 report=all").unwrap();
         assert!(!all.is_empty());
         // label 9 sits on the twig: forbidding it keeps only pure-backbone
@@ -511,7 +517,7 @@ mod tests {
     #[test]
     fn invalidate_evicts_exactly_one_key() {
         let g = data();
-        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         let c3 = SkinnyMineConfig::new(3, 2, 2).with_report(ReportMode::All);
         let c4 = SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All);
         idx.request(&c3).unwrap();
@@ -601,7 +607,7 @@ mod tests {
     #[test]
     fn update_database_rejects_a_single_graph_index() {
         let g = data();
-        let mut idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+        let mut idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         assert!(idx.update_database(|_| {}).is_err());
     }
 

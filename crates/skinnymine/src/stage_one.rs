@@ -55,12 +55,11 @@ impl SeedSet {
 ///    ([`DiamMine::cycles_from_paths`]);
 /// 2. `2l` lies inside the range but was not mined: no `2l`-path is
 ///    frequent, so no `C_{2l+1}` is either;
-/// 3. `2l` lies past `hi`: under an anti-monotone measure pair the mined
-///    `l`-arcs ([`DiamMine::cycles_from_arcs`]); otherwise the two arcs of
-///    a frequent cycle need not be frequent, so the missing `2l` lengths are
-///    mined together on one shared doubling ladder and closed.
+/// 3. `2l` lies past `hi`: pair the mined `l`-arcs
+///    ([`DiamMine::cycles_from_arcs`]).
 ///
-/// Closing and pairing give the same bytes wherever both are complete.
+/// Closing and pairing give the same bytes under the anti-monotone measures
+/// that [`crate::SkinnyMineConfig::validate`] admits.
 pub(crate) fn mine_seeds(
     dm: &DiamMine<'_>,
     lo: usize,
@@ -71,15 +70,10 @@ pub(crate) fn mine_seeds(
     let paths = dm.mine_range_with_stats(lo, hi, stats);
     let mut cycles = BTreeMap::new();
     if cycle_seeds {
-        let past_hi = |l: usize| hi.is_some_and(|h| 2 * l > h);
-        let arcs = dm.support.is_anti_monotone();
-        let missing: Vec<usize> =
-            if arcs { Vec::new() } else { paths.keys().filter(|&&l| past_hi(l)).map(|&l| 2 * l).collect() };
-        let extra = dm.mine_exact_many_with_stats(&missing, stats);
         for (&l, paths_l) in &paths {
-            let found = match paths.get(&(2 * l)).or_else(|| extra.get(&(2 * l))) {
+            let found = match paths.get(&(2 * l)) {
                 Some(paths_2l) => dm.cycles_from_paths(paths_2l, l),
-                None if arcs && past_hi(l) => dm.cycles_from_arcs(paths_l, l),
+                None if hi.is_some_and(|h| 2 * l > h) => dm.cycles_from_arcs(paths_l, l),
                 None => continue,
             };
             if !found.is_empty() {

@@ -6,9 +6,10 @@
 //! reach them from path seeds, because each intermediate pattern breaks the
 //! canonical-diameter invariant.
 
-use skinny_graph::{CsrSnapshot, Label, LabeledGraph, SupportMeasure};
+use skinny_graph::{CsrSnapshot, GraphDatabase, Label, LabeledGraph, SupportMeasure};
 use skinnymine::{
-    satisfies_skinny_spec, MinimalPatternIndex, MiningData, ReportMode, SkinnyMine, SkinnyMineConfig,
+    satisfies_skinny_spec, IncrementalMiner, MinimalPatternIndex, MiningData, ReportMode, SkinnyMine,
+    SkinnyMineConfig,
 };
 
 fn l(x: u32) -> Label {
@@ -81,7 +82,7 @@ fn c5_cluster_is_input_form_invariant() {
 #[test]
 fn index_serves_cycle_seeds() {
     let g = pentagon_data();
-    let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+    let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
     // the C5 seed is pre-derived at build time
     assert_eq!(idx.minimal_cycles(2).len(), 1);
     assert_eq!(idx.minimal_cycles(2)[0].cycle_len(), 5);
@@ -112,8 +113,52 @@ fn c3_is_mined_for_l1() {
         .find(|p| p.vertex_count() == 3 && p.edge_count() == 3)
         .expect("C3 must be seeded and reported");
     assert_eq!(c3.diameter_len, 1);
-    assert_eq!(c3.support, 2);
+    // the reported cluster grows the triangle from the edge, one row per
+    // triangle edge: each pattern vertex maps to two vertices per triangle
+    assert_eq!(c3.support, 4);
+    assert_eq!(c3.embeddings.distinct_vertex_sets(), 2);
     assert!(c3.embeddings.iter().all(|e| e.is_valid(&c3.graph, &g)));
+}
+
+/// `copies` disjoint one-label cycles of `len` vertices.
+fn disjoint_cycles(len: u32, copies: u32) -> LabeledGraph {
+    let edges = (0..copies).flat_map(|c| (0..len).map(move |i| (c * len + i, c * len + (i + 1) % len)));
+    LabeledGraph::from_unlabeled_edges(&vec![l(0); (len * copies) as usize], edges).unwrap()
+}
+
+/// `C_{2l+1}` is `(l, ⌈l/2⌉)`-skinny, so a δ below that never reports it:
+/// the triangle at `l = 1, δ = 0` and C₇ at `l = 3, δ = 1`.  The cycle
+/// seeds still run, and every entry point — direct mine, index request and
+/// incremental refresh — returns exactly what it returns without them.
+#[test]
+fn cycles_wider_than_delta_are_not_reported() {
+    for (len, l, delta) in [(3u32, 1usize, 0u32), (7, 3, 1)] {
+        let g = disjoint_cycles(len, 2);
+        let config = SkinnyMineConfig::new(l, delta, 2)
+            .with_support_measure(SupportMeasure::MinimumImage)
+            .with_report(ReportMode::All);
+        let debug = |patterns: &[skinnymine::SkinnyPattern]| {
+            assert!(patterns.iter().all(|p| p.skinniness <= delta), "l = {l}, delta = {delta}: {patterns:?}");
+            format!("{patterns:?}")
+        };
+        let direct = SkinnyMine::new(config.clone()).mine(&g).unwrap();
+        let without = SkinnyMine::new(config.clone().with_cycle_seeds(false)).mine(&g).unwrap();
+        assert_eq!(debug(&direct.patterns), debug(&without.patterns), "direct mine, l = {l}");
+
+        let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
+        assert_eq!(index.minimal_cycles(l).len(), 1, "the C_{{2l+1}} seed exists at l = {l}");
+        let served = index.request(&config).unwrap();
+        assert_eq!(debug(&served.patterns), debug(&without.patterns), "index request, l = {l}");
+
+        // one cycle per transaction, counted by transactions
+        let db = GraphDatabase::from_graphs(vec![disjoint_cycles(len, 1), disjoint_cycles(len, 1)]);
+        let config = config.with_support_measure(SupportMeasure::Transactions);
+        let mut miner = IncrementalMiner::new(config.clone(), db.clone()).unwrap();
+        miner.database_mut().replace_transaction(0, disjoint_cycles(len, 1)).unwrap();
+        let refreshed = miner.refresh().unwrap();
+        let without = SkinnyMine::new(config.with_cycle_seeds(false)).mine_database(&db).unwrap();
+        assert_eq!(debug(&refreshed.patterns), debug(&without.patterns), "refresh, l = {l}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -123,10 +168,10 @@ fn c3_is_mined_for_l1() {
 
 mod routes {
     use proptest::prelude::*;
-    use skinny_graph::{fingerprint, GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
+    use skinny_graph::{analyze, fingerprint, GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
     use skinnymine::{
-        duplicate_pattern_indices, duplicate_pattern_indices_reference, DiamMine, MinimalPatternIndex,
-        MiningData, ReportMode, SkinnyMine, SkinnyMineConfig, SkinnyPattern,
+        duplicate_pattern_indices, duplicate_pattern_indices_reference, DiamMine, MineError,
+        MinimalPatternIndex, MiningData, ReportMode, SkinnyMine, SkinnyMineConfig, SkinnyPattern,
     };
 
     /// Strategy: one small dense graph over at most two vertex labels and
@@ -183,9 +228,10 @@ mod routes {
 
     /// A direct mine and a request to an index built up to `max_len` of the
     /// same configuration give the same patterns, compared on each pattern's
-    /// `Debug` bytes.  The comparison ignores the reported order: the
-    /// index's final sort breaks fewer ties than the direct miner's, a known
-    /// drift the benchmark's traced index request still mirrors.
+    /// `Debug` bytes, and every pattern is genuinely `l`-long and δ-skinny.
+    /// The comparison ignores the reported order: the index's final sort
+    /// breaks fewer ties than the direct miner's, a known drift the
+    /// benchmark's traced index request still mirrors.
     fn assert_index_matches_direct(
         db: &GraphDatabase,
         config: &SkinnyMineConfig,
@@ -197,6 +243,11 @@ mod routes {
             out
         };
         let direct = SkinnyMine::new(config.clone()).mine_database(db).unwrap();
+        for p in &direct.patterns {
+            prop_assert!(p.skinniness <= config.delta, "{:?}: {:?}", config, p);
+            let shape = analyze(&p.graph).unwrap();
+            prop_assert!(shape.is_l_long_delta_skinny(p.diameter_len, config.delta), "{:?}: {:?}", config, p);
+        }
         let index = MinimalPatternIndex::build_for_database(db, config.sigma, config.support, max_len);
         let served = index.request(config).unwrap();
         prop_assert_eq!(
@@ -206,6 +257,24 @@ mod routes {
             config,
             max_len
         );
+        Ok(())
+    }
+
+    /// A measure that is not anti-monotone is rejected by the direct mine
+    /// and by every request to an index built under it, whatever the
+    /// request's measure.
+    fn assert_rejected(
+        db: &GraphDatabase,
+        config: &SkinnyMineConfig,
+        max_len: Option<usize>,
+    ) -> Result<(), TestCaseError> {
+        let rejected = |r: Result<_, MineError>| matches!(r, Err(MineError::InvalidConfig { .. }));
+        prop_assert!(rejected(SkinnyMine::new(config.clone()).mine_database(db).map(drop)), "{:?}", config);
+        let index = MinimalPatternIndex::build_for_database(db, config.sigma, config.support, max_len);
+        for measure in [config.support, SupportMeasure::MinimumImage] {
+            let request = config.clone().with_support_measure(measure);
+            prop_assert!(rejected(index.request(&request).map(drop)), "{:?}", request);
+        }
         Ok(())
     }
 
@@ -260,12 +329,11 @@ mod routes {
         }
 
         /// Every measure through both public entry points with cycle seeds
-        /// on: the direct mine of `l` alone pairs arcs (`MinimumImage`,
-        /// `Transactions`) or closes `2l`-paths mined for it
-        /// (`EmbeddingCount`, `DistinctVertexSets`), against an index built
-        /// up to `max_len` ∈ {unbounded, `l`, `2l`}, which closes its stored
-        /// `2l`-paths where it holds them and takes the direct mine's route
-        /// past its bound.
+        /// on.  Under `MinimumImage` and `Transactions` the direct mine of
+        /// `l` alone pairs arcs, against an index built up to `max_len` ∈
+        /// {unbounded, `l`, `2l`}, which closes its stored `2l`-paths where
+        /// it holds them and pairs arcs past its bound.  `EmbeddingCount`
+        /// and `DistinctVertexSets` are rejected by both.
         #[test]
         fn direct_mine_with_cycle_seeds_matches_index(
             db in any_database(1..=3),
@@ -284,7 +352,11 @@ mod routes {
                 .with_support_measure(measure)
                 .with_report(ReportMode::All);
             let max_len = [None, Some(l), Some(2 * l)][bound];
-            assert_index_matches_direct(&db, &config, max_len)?;
+            if measure.is_anti_monotone() {
+                assert_index_matches_direct(&db, &config, max_len)?;
+            } else {
+                assert_rejected(&db, &config, max_len)?;
+            }
         }
     }
 

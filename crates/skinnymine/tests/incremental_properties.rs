@@ -4,9 +4,9 @@
 //! remove, in arbitrary interleavings — [`IncrementalMiner::refresh`] must
 //! produce output byte-identical (`Debug`-formatted patterns, embeddings
 //! and all) to a from-scratch [`SkinnyMine`] run over the mutated
-//! database, for every thread count in {1, 2, 8}, under each support
-//! measure (so both cycle-seed routes run) with and without a
-//! `max_patterns` cap.  The miner under test is long-lived: one instance
+//! database, for every thread count in {1, 2, 8}, under both anti-monotone
+//! support measures with and without a `max_patterns` cap; the other two
+//! measures are rejected.  The miner under test is long-lived: one instance
 //! absorbs every chunk of the sequence, so maintained Stage-I tables and
 //! reused Stage-II clusters are carried across many refreshes, exactly as
 //! a serving deployment would.  The same generators drive
@@ -16,7 +16,8 @@
 use proptest::prelude::*;
 use skinny_graph::{GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
 use skinnymine::{
-    IncrementalMiner, LengthConstraint, MinimalPatternIndex, ReportMode, SkinnyMine, SkinnyMineConfig,
+    IncrementalMiner, LengthConstraint, MineError, MinimalPatternIndex, ReportMode, SkinnyMine,
+    SkinnyMineConfig,
 };
 
 /// One database update, with raw indices that get reduced modulo the
@@ -133,11 +134,11 @@ fn config_for(threads: usize, measure: SupportMeasure, cap: Option<usize>) -> Sk
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The support measures under test: the 2l-path cycle route
-/// (`DistinctVertexSets`) and the l-path arc route of the anti-monotone
-/// measures (`Transactions`, `MinimumImage`).
-const MEASURES: [SupportMeasure; 3] =
-    [SupportMeasure::DistinctVertexSets, SupportMeasure::Transactions, SupportMeasure::MinimumImage];
+/// The support measures the miner accepts: the anti-monotone ones.
+const MEASURES: [SupportMeasure; 2] = [SupportMeasure::Transactions, SupportMeasure::MinimumImage];
+
+/// The support measures `IncrementalMiner::new` rejects.
+const REJECTED: [SupportMeasure; 2] = [SupportMeasure::DistinctVertexSets, SupportMeasure::EmbeddingCount];
 
 /// No cap, or a cap small enough to cut most results.
 const CAPS: [Option<usize>; 2] = [None, Some(3)];
@@ -158,6 +159,10 @@ proptest! {
         cap in 0..CAPS.len(),
     ) {
         let base = GraphDatabase::from_graphs(initial);
+        for rejected in REJECTED {
+            let result = IncrementalMiner::new(config_for(1, rejected, CAPS[cap]), base.clone());
+            prop_assert!(matches!(result, Err(MineError::InvalidConfig { .. })), "{:?}", rejected);
+        }
         let mut miners: Vec<IncrementalMiner> = THREAD_COUNTS
             .iter()
             .map(|&threads| {

@@ -42,7 +42,7 @@ fn summary(result: &MiningResult) -> Vec<(usize, usize, usize)> {
 #[test]
 fn concurrent_distinct_l_requests_match_fresh_sequential_mines() {
     let g = data();
-    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
 
     // ground truth: fresh, sequential, index-free mines
     let expected: Vec<Vec<(usize, usize, usize)>> = (1..=6)
@@ -79,7 +79,7 @@ fn concurrent_distinct_l_requests_match_fresh_sequential_mines() {
 #[test]
 fn cached_and_parallel_serving_agree_with_uncached() {
     let g = data();
-    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
     let config = request_config(4);
     let first = index.request(&config).expect("request succeeds");
     let cached = index.request(&config).expect("request succeeds");
@@ -100,8 +100,8 @@ fn cached_and_parallel_serving_agree_with_uncached() {
 #[test]
 fn parallel_index_build_matches_sequential_build() {
     let g = data();
-    let seq = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
-    let par = MinimalPatternIndex::build_with_threads(&g, 2, SupportMeasure::DistinctVertexSets, None, 8);
+    let seq = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
+    let par = MinimalPatternIndex::build_with_threads(&g, 2, SupportMeasure::MinimumImage, None, 8);
     assert_eq!(seq.available_lengths(), par.available_lengths());
     for l in seq.available_lengths() {
         let a: Vec<_> = seq.minimal_patterns(l).iter().map(|p| (&p.key, p.embeddings.len())).collect();
@@ -113,7 +113,7 @@ fn parallel_index_build_matches_sequential_build() {
 #[test]
 fn closure_requests_served_concurrently() {
     let g = data();
-    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
     let config = SkinnyMineConfig::new(6, 2, 2)
         .with_length(LengthConstraint::Between(3, 6))
         .with_report(ReportMode::Closed)

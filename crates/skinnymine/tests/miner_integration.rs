@@ -8,7 +8,9 @@ use skinny_graph::{
     analyze, canonical_key, find_embeddings, DfsCode, Edge, Label, LabeledGraph, SubIsoOptions,
     SupportMeasure, VertexId,
 };
-use skinnymine::{ReportMode, SkinnyMine, SkinnyMineConfig};
+use skinnymine::{
+    IncrementalMiner, MineError, MinimalPatternIndex, ReportMode, SkinnyMine, SkinnyMineConfig,
+};
 use std::collections::HashSet;
 
 /// Brute force: enumerate every connected edge-subset subgraph of `graph`
@@ -90,7 +92,7 @@ fn structured_graph() -> LabeledGraph {
 fn matches_brute_force_on_structured_graph() {
     let graph = structured_graph();
     for (l, delta) in [(3usize, 1u32), (3, 2), (2, 1)] {
-        let measure = SupportMeasure::DistinctVertexSets;
+        let measure = SupportMeasure::MinimumImage;
         let expected = brute_force_skinny(&graph, l, delta, 2, measure, 9);
         let config =
             SkinnyMineConfig::new(l, delta, 2).with_support_measure(measure).with_report(ReportMode::All);
@@ -99,6 +101,35 @@ fn matches_brute_force_on_structured_graph() {
         assert_eq!(got.len(), result.patterns.len(), "duplicate patterns reported for l={l}, delta={delta}");
         assert_eq!(got, expected, "pattern sets differ for l={l}, delta={delta}");
     }
+}
+
+/// The one-label star K₁,₆ at l = 2, σ = 7: the 2-path has 15 vertex sets
+/// but the edge only 6, so a ladder that extends only frequent paths never
+/// finds the 2-path under `DistinctVertexSets` (and likewise under
+/// `EmbeddingCount`).  Every entry point rejects both measures instead of
+/// returning that incomplete result; `MinimumImage` mines.
+#[test]
+fn non_anti_monotone_measures_are_rejected_on_the_star() {
+    let star = LabeledGraph::from_unlabeled_edges(&[Label(0); 7], (1..7).map(|leaf| (0, leaf))).unwrap();
+    let db = skinny_graph::GraphDatabase::from_graphs(vec![star.clone()]);
+    let config =
+        |measure| SkinnyMineConfig::new(2, 0, 7).with_support_measure(measure).with_report(ReportMode::All);
+    let invalid = |r: Result<(), MineError>| matches!(r, Err(MineError::InvalidConfig { .. }));
+    for measure in [SupportMeasure::DistinctVertexSets, SupportMeasure::EmbeddingCount] {
+        assert!(invalid(SkinnyMine::new(config(measure)).mine(&star).map(drop)), "direct mine, {measure:?}");
+        assert!(
+            invalid(IncrementalMiner::new(config(measure), db.clone()).map(drop)),
+            "incremental, {measure:?}"
+        );
+        let index = MinimalPatternIndex::build(&star, 7, measure, None);
+        for request in [measure, SupportMeasure::MinimumImage] {
+            assert!(
+                invalid(index.request(&config(request)).map(drop)),
+                "index {measure:?}, request {request:?}"
+            );
+        }
+    }
+    assert!(SkinnyMine::new(config(SupportMeasure::MinimumImage)).mine(&star).is_ok());
 }
 
 proptest! {
@@ -125,7 +156,7 @@ proptest! {
                 let _ = g.add_unlabeled_edge(VertexId(a as u32), VertexId(b as u32));
             }
         }
-        let measure = SupportMeasure::DistinctVertexSets;
+        let measure = SupportMeasure::MinimumImage;
         let (l, delta, sigma) = (2usize, 1u32, 1usize);
         let expected = brute_force_skinny(&g, l, delta, sigma, measure, 7);
         let config = SkinnyMineConfig::new(l, delta, sigma)

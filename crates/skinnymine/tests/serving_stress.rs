@@ -55,7 +55,7 @@ const THREADS: usize = 8;
 #[test]
 fn concurrent_identical_requests_coalesce_onto_one_mining_run() {
     let g = data();
-    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
     let config = request_config(4);
     let barrier = Barrier::new(THREADS);
     let results: Vec<Arc<MiningResult>> = std::thread::scope(|scope| {
@@ -95,7 +95,7 @@ fn hammering_mixed_configs_mines_each_distinct_config_exactly_once() {
     const ROUNDS: usize = 5;
     const LENGTHS: usize = 6;
     let g = data();
-    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
     let expected: Vec<Vec<(usize, usize, usize)>> = (1..=LENGTHS)
         .map(|l| summary(&SkinnyMine::new(request_config(l)).mine(&g).expect("mining succeeds")))
         .collect();
@@ -143,7 +143,7 @@ fn concurrent_invalidation_never_serves_a_wrong_result() {
     const ROUNDS: usize = 25;
     const LENGTHS: usize = 4;
     let g = data();
-    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None);
+    let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
     let expected: Vec<Vec<(usize, usize, usize)>> = (1..=LENGTHS)
         .map(|l| summary(&SkinnyMine::new(request_config(l)).mine(&g).expect("mining succeeds")))
         .collect();
@@ -277,7 +277,7 @@ fn bounded_cache_keeps_the_interleaved_hot_key() {
         // the same patterns, so every entry costs `hot_cost`), single shard
         // so the eviction history is exactly sequential LRU
         let budget = 2 * hot_cost + 2;
-        let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::DistinctVertexSets, None)
+        let index = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None)
             .with_cache_config(ServingCacheConfig::new(1, budget));
         index.request(&hot).expect("request succeeds");
         for uid in 0..UNIQUES {

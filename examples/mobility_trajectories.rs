@@ -36,7 +36,7 @@ fn main() {
 
     // Pre-compute the minimal-pattern index (Stage I) once.
     let start = std::time::Instant::now();
-    let index = MinimalPatternIndex::build(&city, 2, SupportMeasure::DistinctVertexSets, Some(14));
+    let index = MinimalPatternIndex::build(&city, 2, SupportMeasure::MinimumImage, Some(14));
     println!(
         "minimal-pattern index: {} frequent paths across lengths {:?} (built in {:.2?})",
         index.len(),

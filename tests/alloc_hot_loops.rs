@@ -462,7 +462,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // none of it may touch the heap — this is the pin on the old
     // `MiningResult::clone(cached)` deep-clone-per-hit bug
     let g = labeled_paths_graph(50);
-    let index = MinimalPatternIndex::build(&g, 1, SupportMeasure::DistinctVertexSets, None);
+    let index = MinimalPatternIndex::build(&g, 1, SupportMeasure::MinimumImage, None);
     let config = SkinnyMineConfig::new(2, 2, 1).with_report(ReportMode::All);
     let first = index.request(&config).expect("request succeeds");
     assert!(!first.patterns.is_empty());

@@ -116,7 +116,7 @@ fn reported_supports_match_subiso_ground_truth() {
         let found = skinny_graph::find_embeddings(&p.graph, &graph, Default::default());
         assert_eq!(
             p.support,
-            found.support(SupportMeasure::DistinctVertexSets),
+            found.support(SupportMeasure::MinimumImage),
             "support mismatch for pattern with {} vertices",
             p.vertex_count()
         );
