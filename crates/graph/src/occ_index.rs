@@ -712,15 +712,21 @@ pub fn all_distinct_marked(vs: &[VertexId], marks: &mut VertexMarks) -> bool {
     vs.iter().all(|&v| marks.mark(v))
 }
 
-/// True when directed rows `a` and `b` (with `a.last() == b.first()`) share
-/// only the junction vertex — `O(|a| + |b|)` probes, no allocation.
-pub fn disjoint_except_shared_marked(a: &[VertexId], b: &[VertexId], marks: &mut VertexMarks) -> bool {
-    debug_assert_eq!(a.last(), b.first());
+/// True when simple directed rows `a` and `b`, whose last and first
+/// `overlap` vertices coincide, share no vertex outside that overlap — i.e.
+/// `a ++ b[overlap..]` is simple.  `O(|a| + |b|)` probes, no allocation.
+pub fn disjoint_except_shared_marked(
+    a: &[VertexId],
+    b: &[VertexId],
+    overlap: usize,
+    marks: &mut VertexMarks,
+) -> bool {
+    debug_assert_eq!(a[a.len() - overlap..], b[..overlap]);
     marks.reset();
     for &v in a {
         marks.mark(v);
     }
-    b[1..].iter().all(|&v| !marks.is_marked(v))
+    b[overlap..].iter().all(|&v| !marks.is_marked(v))
 }
 
 #[cfg(test)]
@@ -900,7 +906,9 @@ mod tests {
         let mut marks = VertexMarks::new();
         assert!(all_distinct_marked(&v(&[0, 1, 2]), &mut marks));
         assert!(!all_distinct_marked(&v(&[0, 1, 0]), &mut marks));
-        assert!(disjoint_except_shared_marked(&v(&[0, 1, 2]), &v(&[2, 3, 4]), &mut marks));
-        assert!(!disjoint_except_shared_marked(&v(&[0, 1, 2]), &v(&[2, 1, 5]), &mut marks));
+        assert!(disjoint_except_shared_marked(&v(&[0, 1, 2]), &v(&[2, 3, 4]), 1, &mut marks));
+        assert!(!disjoint_except_shared_marked(&v(&[0, 1, 2]), &v(&[2, 1, 5]), 1, &mut marks));
+        assert!(disjoint_except_shared_marked(&v(&[0, 1, 2]), &v(&[1, 2, 3]), 2, &mut marks));
+        assert!(!disjoint_except_shared_marked(&v(&[0, 1, 2]), &v(&[1, 2, 0]), 2, &mut marks));
     }
 }

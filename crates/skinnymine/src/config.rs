@@ -119,10 +119,6 @@ pub struct SkinnyMineConfig {
     pub exploration: Exploration,
     /// Optional cap on the number of reported patterns (None = unlimited).
     pub max_patterns: Option<usize>,
-    /// Optional cap on the embeddings tracked per pattern; embeddings beyond
-    /// the cap are dropped *after* the support check, so frequency decisions
-    /// are unaffected for thresholds `<=` the cap.
-    pub max_embeddings_per_pattern: Option<usize>,
     /// Number of worker threads for growing independent canonical-diameter
     /// clusters (1 = sequential).
     pub threads: usize,
@@ -151,7 +147,6 @@ impl SkinnyMineConfig {
             constraint_check: ConstraintCheckMode::Fast,
             exploration: Exploration::Exhaustive,
             max_patterns: None,
-            max_embeddings_per_pattern: Some(10_000),
             threads: 1,
             cycle_seeds: true,
         }

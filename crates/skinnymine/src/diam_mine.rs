@@ -2,16 +2,18 @@
 //! length (the canonical diameters, i.e. the minimal constraint-satisfying
 //! patterns of the skinny constraint).
 //!
-//! Following §3.2 and Algorithm 2 of the paper, the miner proceeds in two
-//! steps:
+//! Following §3.2 and Algorithm 2 of the paper, a path of length `target`
+//! is joined from two frequent paths of length `n` (`n < target <= 2n`)
+//! whose occurrences overlap in `k = 2n − target + 1` vertices: the last `k`
+//! vertices of one occurrence are the first `k` of the other.  Algorithm 2
+//! names two joins, and both are this one join at a different overlap:
 //!
-//! 1. frequent paths of length `2^0, 2^1, …, 2^k` (`2^k <= l`) are obtained
-//!    by *concatenating* two frequent paths of the previous power of two at a
-//!    shared end vertex;
-//! 2. frequent paths of a non-power-of-two length `l` are obtained by
-//!    *merging* two frequent length-`2^k` paths that overlap in exactly
-//!    `2^{k+1} - l` edges (the prefix containing the head and the suffix
-//!    containing the tail).
+//! 1. frequent paths of length `2^0, 2^1, …, 2^p` (`2^p <= l`) *concatenate*
+//!    two frequent paths of the previous power of two at a shared end vertex
+//!    (`CheckConcat`, `k = 1`);
+//! 2. frequent paths of a non-power-of-two length `l` *merge* two frequent
+//!    length-`2^p` paths that overlap in `2^{p+1} − l` edges (`CheckMerge`,
+//!    `k = 2^{p+1} − l + 1`).
 //!
 //! All joins run at the occurrence (embedding) level, so no subgraph
 //! isomorphism search is ever needed — this is what makes the stage "direct".
@@ -29,14 +31,16 @@
 //! pairs the mined `l`-paths into cycles; [`DiamMine::cycles_from_paths`]
 //! closes mined `2l`-paths instead (see [`crate::cycle`] for when each runs).
 //!
-//! The ladder joins run on three raw-speed kernels (mirroring the grow
+//! Every ladder level is produced by one join, [`DiamMine::merge_to_length`]
+//! at its overlap, running on three raw-speed kernels (mirroring the grow
 //! engine's):
 //!
 //! * **level-carried arenas** — each finalized level is wrapped in a
 //!   [`LadderLevel`] whose directed-occurrence store, `(pattern, direction)`
 //!   row sources and owned [`PrefixIndex`] are built once per level (one
 //!   pass + one scatter) and re-probed by every join that consumes the
-//!   level, instead of a per-join rebuild of borrowed-key hash maps;
+//!   level (an index-only re-scatter when the overlap width changes),
+//!   instead of a per-join rebuild of borrowed-key hash maps;
 //! * a **pattern-pair memo** — a directed row's label sequence is fully
 //!   determined by its source `(pattern, direction)`, so all products of one
 //!   source pair share one canonical key: only the first product pays label
@@ -194,11 +198,6 @@ impl LadderLevel {
     /// The level's finalized patterns.
     pub fn patterns(&self) -> &[PathPattern] {
         &self.patterns
-    }
-
-    /// Consumes the level, returning its patterns.
-    pub fn into_patterns(self) -> Vec<PathPattern> {
-        self.patterns
     }
 
     /// Ensures the arenas exist and the carried index groups by
@@ -402,7 +401,7 @@ impl<'a> DiamMine<'a> {
         if let Some(level1) = &self.level1_override {
             return level1.clone();
         }
-        self.finalize_with_stats(self.level1_table().into_patterns(), stats)
+        self.finalize(self.level1_table().into_patterns(), stats, true)
     }
 
     /// The **unfiltered** level-1 pattern table: every length-1 occurrence
@@ -448,61 +447,42 @@ impl<'a> DiamMine<'a> {
         }
     }
 
-    /// The frequent length-1 path of one specific `(label, edge label,
-    /// label)` triple, together with the number of edge records visited to
-    /// enumerate it.
+    /// Joins frequent paths of length `n` into candidate paths of length
+    /// `target` (`n < target <= 2n`): a directed occurrence whose last
+    /// `k = 2n − target + 1` vertices are another's first `k` extends by the
+    /// other's remaining vertices.  At `target = 2n` the overlap is one shared
+    /// end vertex (`CheckConcat` of Algorithm 2); below it the occurrences
+    /// overlap in a suffix/prefix (`CheckMergeHead` / `CheckMergeTail`).
     ///
-    /// The walk visits exactly the triple's index bucket in every
-    /// transaction, so the visit count equals the triple's occurrence count.
-    /// The index-walk regression test asserts it: Stage-I seed enumeration
-    /// must never fall back to a full edge scan per label triple.
-    pub fn frequent_edges_for_triple(&self, la: Label, el: Label, lb: Label) -> (Option<PathPattern>, u64) {
-        let (key, _) = PathKey::canonical(vec![la, lb], vec![el]);
-        let mut pattern = PathPattern::new(key.clone());
-        let mut visited = 0u64;
-        for (t, csr) in self.snapshot.iter() {
-            let bucket = csr.triple_edges(la, el, lb);
-            visited += bucket.len() as u64;
-            for &(u, v) in bucket {
-                pattern.add_occurrence(t, vec![u, v], false);
-            }
-        }
-        pattern.dedup();
-        if pattern.support(self.support) >= self.sigma {
-            (Some(pattern), visited)
-        } else {
-            (None, visited)
-        }
-    }
-
-    /// Concatenates frequent paths of length `n` into candidate paths of
-    /// length `2n` by joining occurrences at a shared end vertex
-    /// (`CheckConcat` of Algorithm 2).
-    ///
-    /// The join probes the level's carried [`PrefixIndex`] over
-    /// `(transaction, head vertex)`, per-row disjointness is an epoch-marked
-    /// probe, products are routed to their pattern slot by the pattern-pair
-    /// memo (graph-free), and the σ-filter runs the pruned evaluator — a
-    /// rejected row pair touches no allocator.
-    pub fn concat_double(&self, current: &[PathPattern]) -> Vec<PathPattern> {
-        if current.is_empty() {
+    /// The join probes a [`PrefixIndex`] over `(transaction, overlap
+    /// prefix)` with the lookup key borrowed straight from the probing row's
+    /// suffix, per-row disjointness is an epoch-marked probe, products are
+    /// routed to their pattern slot by the pattern-pair memo (graph-free),
+    /// and the σ-filter runs the pruned evaluator — a rejected row pair
+    /// touches no allocator.
+    pub fn merge_to_length(&self, base: &[PathPattern], target: usize) -> Vec<PathPattern> {
+        if base.is_empty() {
             return Vec::new();
         }
+        let n = base[0].len();
+        assert!(target > n && target <= 2 * n, "join target must satisfy n < target <= 2n");
         let mut arenas = LevelArenas::default();
-        arenas.rebuild(current, 1);
-        self.concat_join(current, &arenas, &mut MiningStats::default())
+        arenas.rebuild(base, 2 * n - target + 1);
+        self.merge_join(base, &arenas, target, &mut MiningStats::default())
     }
 
-    /// The concat join over a level's carried arenas: probe the prefix-1
-    /// index, check disjointness, gather the combined row, intern via the
-    /// pattern-pair memo, then σ-filter with the pruned evaluator.
-    fn concat_join(
+    /// The ladder join over a level's carried arenas (index prefix =
+    /// overlap width): probe, disjointness check, gather, memo intern,
+    /// pruned σ-filter.
+    fn merge_join(
         &self,
         patterns: &[PathPattern],
         arenas: &LevelArenas,
+        target: usize,
         stats: &mut MiningStats,
     ) -> Vec<PathPattern> {
-        debug_assert_eq!(arenas.index.prefix_len(), 1);
+        let overlap = 2 * patterns[0].len() - target + 1;
+        debug_assert_eq!(arenas.index.prefix_len(), overlap);
         let (occs, source, index) = (&arenas.occs, &arenas.source, &arenas.index);
         let (table, phases) = self.join_occurrences(occs.len(), |range, table, scratch| {
             let wall = Instant::now();
@@ -513,8 +493,7 @@ impl<'a> DiamMine<'a> {
             for i in range {
                 let a = occs.row(i);
                 let t = occs.transaction(i);
-                let tail = &a[a.len() - 1..];
-                let postings = index.postings(occs, t, tail);
+                let postings = index.postings(occs, t, &a[a.len() - overlap..]);
                 bump(&mut last, &mut tk.probe);
                 for &bi in postings {
                     let bi = bi as usize;
@@ -528,17 +507,19 @@ impl<'a> DiamMine<'a> {
                     if (bi ^ 1, i ^ 1) < (i, bi) {
                         continue;
                     }
+                    // both rows are simple, so the product is simple exactly
+                    // when b's remainder avoids a: check before gathering
                     let b = occs.row(bi);
-                    if !disjoint_except_shared_marked(a, b, &mut scratch.marks) {
-                        bump(&mut last, &mut tk.probe);
+                    let simple = disjoint_except_shared_marked(a, b, overlap, &mut scratch.marks);
+                    bump(&mut last, &mut tk.probe);
+                    if !simple {
                         continue;
                     }
-                    bump(&mut last, &mut tk.probe);
                     scratch.row.clear();
                     scratch.row.extend_from_slice(a);
-                    scratch.row.extend_from_slice(&b[1..]);
+                    scratch.row.extend_from_slice(&b[overlap..]);
                     bump(&mut last, &mut tk.gather);
-                    intern_product(patterns, table, scratch, t, source[i], source[bi], 1, 0);
+                    intern_product(patterns, table, scratch, t, source[i], source[bi], overlap, overlap - 1);
                     bump(&mut last, &mut tk.intern);
                 }
             }
@@ -547,100 +528,14 @@ impl<'a> DiamMine<'a> {
             phases
         });
         stats.join_phases.merge(&phases);
-        self.finalize_joined(table.into_patterns(), stats)
+        self.finalize(table.into_patterns(), stats, false)
     }
 
-    /// Merges frequent paths of length `n` into candidate paths of length
-    /// `target` (`n < target < 2n`) by overlapping a suffix of one occurrence
-    /// with a prefix of another (`CheckMergeHead` / `CheckMergeTail` of
-    /// Algorithm 2).
-    ///
-    /// Like [`DiamMine::concat_double`], the join probes a carried
-    /// [`PrefixIndex`] — here over `(transaction, overlap prefix)`, with the
-    /// lookup key borrowed straight from the probing row's suffix — interns
-    /// products through the pattern-pair memo, and σ-filters with the pruned
-    /// evaluator.
-    pub fn merge_to_length(&self, base: &[PathPattern], target: usize) -> Vec<PathPattern> {
-        if base.is_empty() {
-            return Vec::new();
-        }
-        let n = base[0].len();
-        assert!(target > n && target < 2 * n, "merge target must satisfy n < target < 2n");
-        let mut arenas = LevelArenas::default();
-        arenas.rebuild(base, 2 * n - target + 1);
-        self.merge_join(base, &arenas, target, &mut MiningStats::default())
-    }
-
-    /// The merge join over a level's carried arenas (index prefix =
-    /// overlap width): probe, gather, simplicity check, memo intern, pruned
-    /// σ-filter.
-    fn merge_join(
-        &self,
-        patterns: &[PathPattern],
-        arenas: &LevelArenas,
-        target: usize,
-        stats: &mut MiningStats,
-    ) -> Vec<PathPattern> {
-        let n = patterns[0].len();
-        let overlap_vertices = 2 * n - target + 1;
-        debug_assert_eq!(arenas.index.prefix_len(), overlap_vertices);
-        let (occs, source, index) = (&arenas.occs, &arenas.source, &arenas.index);
-        let (table, phases) = self.join_occurrences(occs.len(), |range, table, scratch| {
-            let wall = Instant::now();
-            let t0 = phase_ticks();
-            scratch.pair_memo.reset();
-            let mut tk = JoinTicks::default();
-            let mut last = t0;
-            for i in range {
-                let a = occs.row(i);
-                let t = occs.transaction(i);
-                let suffix = &a[a.len() - overlap_vertices..];
-                let postings = index.postings(occs, t, suffix);
-                bump(&mut last, &mut tk.probe);
-                for &bi in postings {
-                    let bi = bi as usize;
-                    // Mirror pruning, exactly as in the concat join: the
-                    // reversed rediscovery (bi^1, i^1) stores the same row,
-                    // so only the loop-order-earlier twin is emitted.
-                    if (bi ^ 1, i ^ 1) < (i, bi) {
-                        continue;
-                    }
-                    let b = occs.row(bi);
-                    scratch.row.clear();
-                    scratch.row.extend_from_slice(a);
-                    scratch.row.extend_from_slice(&b[overlap_vertices..]);
-                    bump(&mut last, &mut tk.gather);
-                    if !all_distinct_marked(&scratch.row, &mut scratch.marks) {
-                        bump(&mut last, &mut tk.probe);
-                        continue;
-                    }
-                    bump(&mut last, &mut tk.probe);
-                    intern_product(
-                        patterns,
-                        table,
-                        scratch,
-                        t,
-                        source[i],
-                        source[bi],
-                        overlap_vertices,
-                        overlap_vertices - 1,
-                    );
-                    bump(&mut last, &mut tk.intern);
-                }
-            }
-            let mut phases = JoinPhaseStats::default();
-            tk.settle(&mut phases, wall.elapsed(), phase_ticks().wrapping_sub(t0));
-            phases
-        });
-        stats.join_phases.merge(&phases);
-        self.finalize_joined(table.into_patterns(), stats)
-    }
-
-    /// Reference (pre-engine) implementation of [`DiamMine::concat_double`]:
-    /// the per-join `HashMap<(transaction, endpoint), Vec<row>>` build with
-    /// per-row key cloning that the occurrence index replaced.  Sequential;
-    /// kept as the parity oracle of the ladder tests.  Output is
-    /// byte-identical to the indexed engine.
+    /// Reference (pre-engine) implementation of [`DiamMine::merge_to_length`]
+    /// at `target = 2n`: the per-join `HashMap<(transaction, endpoint),
+    /// Vec<row>>` build with per-row key cloning that the occurrence index
+    /// replaced.  Sequential; kept as the parity oracle of the ladder tests.
+    /// Output is byte-identical to the indexed engine.
     #[doc(hidden)]
     pub fn concat_double_reference(&self, current: &[PathPattern]) -> Vec<PathPattern> {
         if current.is_empty() {
@@ -671,11 +566,11 @@ impl<'a> DiamMine<'a> {
                     .add_occurrence(t, combined, reversed);
             }
         }
-        self.finalize_reference(by_key)
+        self.finalize_exact(by_key.into_values().collect())
     }
 
     /// Reference (pre-engine) implementation of
-    /// [`DiamMine::merge_to_length`]; see
+    /// [`DiamMine::merge_to_length`] below `target = 2n`; see
     /// [`DiamMine::concat_double_reference`].
     #[doc(hidden)]
     pub fn merge_to_length_reference(&self, base: &[PathPattern], target: usize) -> Vec<PathPattern> {
@@ -711,7 +606,7 @@ impl<'a> DiamMine<'a> {
                     .add_occurrence(t, combined, reversed);
             }
         }
-        self.finalize_reference(by_key)
+        self.finalize_exact(by_key.into_values().collect())
     }
 
     /// Runs the per-chunk join body over all `rows` directed rows,
@@ -774,32 +669,27 @@ impl<'a> DiamMine<'a> {
     /// Extends a carried ladder (`levels[i]` = frequent paths of length
     /// `2^i`) up to exponent `max_exp`, seeding level 0 from
     /// [`DiamMine::frequent_edges`] when the ladder is empty.  Each new
-    /// level is produced by one concat join probing the previous level's
-    /// carried arenas; exhausted levels stay as empty placeholders.
+    /// level is one join at overlap 1 probing the previous level's carried
+    /// arenas; exhausted levels stay as empty placeholders.
     fn extend_ladder(&self, levels: &mut Vec<LadderLevel>, max_exp: usize, stats: &mut MiningStats) {
         if levels.is_empty() {
             levels.push(LadderLevel::lazy(self.frequent_edges_with_stats(stats)));
         }
         while levels.len() <= max_exp {
-            let prev_idx = levels.len() - 1;
-            if levels[prev_idx].patterns.is_empty() {
-                levels.push(LadderLevel::default());
-                continue;
-            }
-            let wall = Instant::now();
-            levels[prev_idx].ensure_prefix(1);
-            stats.join_phases.intern += wall.elapsed();
-            let prev = &levels[prev_idx];
-            let next = self.concat_join(&prev.patterns, &prev.arenas, stats);
+            let prev = levels.last_mut().expect("the ladder is seeded");
+            let next = if prev.patterns.is_empty() {
+                Vec::new()
+            } else {
+                let target = 2 * prev.patterns[0].len();
+                self.join_level(prev, target, stats)
+            };
             levels.push(LadderLevel::lazy(next));
         }
     }
 
     /// Mines length `l` from a carried ladder, extending it as needed: a
     /// power-of-two length is the ladder level itself, any other length is
-    /// one merge join probing level `⌊log2 l⌋`'s carried rows at the overlap
-    /// width (an index-only rebuild when the level was last probed at a
-    /// different width).
+    /// one join probing level `⌊log2 l⌋`'s carried rows at the overlap width.
     fn mine_length(
         &self,
         levels: &mut Vec<LadderLevel>,
@@ -808,56 +698,46 @@ impl<'a> DiamMine<'a> {
     ) -> Vec<PathPattern> {
         let k = floor_log2(l);
         self.extend_ladder(levels, k, stats);
-        let n = 1usize << k;
-        if l == n {
+        if l == 1 << k {
             return levels[k].patterns.clone();
         }
         if levels[k].patterns.is_empty() {
             return Vec::new();
         }
-        let overlap_vertices = 2 * n - l + 1;
-        let wall = Instant::now();
-        levels[k].ensure_prefix(overlap_vertices);
-        stats.join_phases.intern += wall.elapsed();
-        let level = &levels[k];
-        self.merge_join(&level.patterns, &level.arenas, l, stats)
+        self.join_level(&mut levels[k], l, stats)
     }
 
-    /// Frequent paths of every power-of-two length `2^0 .. 2^max_exp`,
-    /// indexed by exponent.  Stops early (with empty trailing levels) once a
-    /// level yields no frequent path.
-    pub fn powers_up_to(&self, max_exp: usize) -> Vec<Vec<PathPattern>> {
-        let mut levels = Vec::new();
-        self.extend_ladder(&mut levels, max_exp, &mut MiningStats::default());
-        levels.into_iter().map(LadderLevel::into_patterns).collect()
+    /// One ladder step: joins the nonempty `level` into paths of length
+    /// `target`, first grouping its carried index by the overlap width (a
+    /// full arena build when the level was never joined, an index-only
+    /// re-scatter when it was last probed at another width).  That
+    /// preparation is timed as interning.
+    fn join_level(
+        &self,
+        level: &mut LadderLevel,
+        target: usize,
+        stats: &mut MiningStats,
+    ) -> Vec<PathPattern> {
+        let wall = Instant::now();
+        level.ensure_prefix(2 * level.patterns[0].len() - target + 1);
+        stats.join_phases.intern += wall.elapsed();
+        self.merge_join(&level.patterns, &level.arenas, target, stats)
     }
 
     /// All frequent simple paths of length exactly `l` (`DiamMine` in
     /// Algorithm 2).
     pub fn mine_exact(&self, l: usize) -> Vec<PathPattern> {
-        self.mine_exact_with_stats(l, &mut MiningStats::default())
-    }
-
-    /// [`DiamMine::mine_exact`] recording join phase timings and pruning
-    /// counters into `stats`.
-    pub fn mine_exact_with_stats(&self, l: usize, stats: &mut MiningStats) -> Vec<PathPattern> {
         if l == 0 {
             return Vec::new();
         }
-        let mut levels = Vec::new();
-        self.mine_length(&mut levels, l, stats)
+        self.mine_length(&mut Vec::new(), l, &mut MiningStats::default())
     }
 
     /// [`DiamMine::mine_exact`] for several lengths at once, sharing one
     /// carried power-of-two doubling ladder across all of them instead of
     /// rebuilding it per length (the ladder up to `2^k <= max(lengths)`
-    /// dominates the cost when the lengths are close together).
-    pub fn mine_exact_many(&self, lengths: &[usize]) -> BTreeMap<usize, Vec<PathPattern>> {
-        self.mine_exact_many_with_stats(lengths, &mut MiningStats::default())
-    }
-
-    /// [`DiamMine::mine_exact_many`] recording join phase timings and
-    /// pruning counters into `stats`.
+    /// dominates the cost when the lengths are close together), and
+    /// recording join phase timings and pruning counters into `stats`.
     pub fn mine_exact_many_with_stats(
         &self,
         lengths: &[usize],
@@ -1039,37 +919,27 @@ impl<'a> DiamMine<'a> {
         out
     }
 
-    /// Filters candidates by support and removes duplicate occurrences.
-    /// Output order is key-sorted, so it is independent of the input's slot
-    /// order — which is why the maintained level-1 table (whose
-    /// slot order is historical first-occurrence order, not the current
-    /// corpus's) finalizes to the exact from-scratch result.
-    pub(crate) fn finalize(&self, patterns: Vec<PathPattern>) -> Vec<PathPattern> {
-        self.finalize_with_stats(patterns, &mut MiningStats::default())
-    }
-
-    /// [`DiamMine::finalize`] with σ-pruned support evaluation: a pattern
-    /// whose raw row count is already below σ is rejected before paying
-    /// dedup (support under every measure is bounded by the row count, and
-    /// dedup only removes rows), and surviving patterns are measured with
+    /// Filters candidates by support and sorts them by key.  Output order is
+    /// key-sorted, so it is independent of the input's slot order — which is
+    /// why the maintained level-1 table (whose slot order is historical
+    /// first-occurrence order, not the current corpus's) finalizes to the
+    /// exact from-scratch result.
+    ///
+    /// The support evaluation is σ-pruned: a pattern whose raw row count is
+    /// already below σ is rejected before paying dedup (support under every
+    /// measure is bounded by the row count, and dedup only removes rows),
+    /// and surviving patterns are measured with
     /// [`OccurrenceStore::support_pruned`], which is exact whenever the
     /// result is ≥ σ — so the kept set, and therefore the output bytes, are
     /// identical to the exact evaluator's.
-    fn finalize_with_stats(&self, patterns: Vec<PathPattern>, stats: &mut MiningStats) -> Vec<PathPattern> {
-        self.finalize_pruned(patterns, stats, true)
-    }
-
-    /// [`DiamMine::finalize_with_stats`] for the mirror-pruned join kernels:
-    /// the join never materializes the reversed rediscovery of a product row,
-    /// and within one pattern slot two distinct surviving source pairs cannot
-    /// store equal rows (equal rows + one slot force equal directed labels,
-    /// and the per-pattern stores the arenas were built from are themselves
-    /// deduplicated), so the exact-duplicate scan is skipped outright.
-    fn finalize_joined(&self, patterns: Vec<PathPattern>, stats: &mut MiningStats) -> Vec<PathPattern> {
-        self.finalize_pruned(patterns, stats, false)
-    }
-
-    fn finalize_pruned(
+    ///
+    /// `dedup` removes duplicate occurrences first.  The mirror-pruned join
+    /// passes `false`: it never materializes the reversed rediscovery of a
+    /// product row, and within one pattern slot two distinct surviving
+    /// source pairs cannot store equal rows (equal rows + one slot force
+    /// equal directed labels, and the per-pattern stores the arenas were
+    /// built from are themselves deduplicated).
+    pub(crate) fn finalize(
         &self,
         patterns: Vec<PathPattern>,
         stats: &mut MiningStats,
@@ -1104,8 +974,8 @@ impl<'a> DiamMine<'a> {
         out
     }
 
-    /// Exact (unpruned) finalize: the reference evaluator the pruned path is
-    /// verdict-checked against in tests and benchmarks.
+    /// Exact (unpruned) finalize of the reference joins: the evaluator the
+    /// pruned [`DiamMine::finalize`] is verdict-checked against.
     fn finalize_exact(&self, patterns: Vec<PathPattern>) -> Vec<PathPattern> {
         let mut scratch = SupportScratch::new();
         let mut out: Vec<PathPattern> = patterns
@@ -1117,12 +987,6 @@ impl<'a> DiamMine<'a> {
             .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
-    }
-
-    /// [`DiamMine::finalize_exact`] over the reference joins' hash-map
-    /// accumulator.
-    fn finalize_reference(&self, by_key: HashMap<PathKey, PathPattern>) -> Vec<PathPattern> {
-        self.finalize_exact(by_key.into_values().collect())
     }
 }
 
@@ -1231,35 +1095,18 @@ mod tests {
     }
 
     #[test]
-    fn triple_seed_walk_visits_only_its_bucket() {
-        let g = two_path_copies();
-        let csr_miner = miner(&g, 2);
-        let (p_csr, visited_csr) = csr_miner.frequent_edges_for_triple(l(0), Label::DEFAULT_EDGE, l(1));
-        let p_csr = p_csr.expect("a-b edge is frequent");
-        assert_eq!(p_csr.embeddings, edge_scan(&g, &p_csr.key).embeddings);
-        // the index walk visits exactly the triple's 2 edges of the 8 — this
-        // is the regression guard against reintroducing a full edge scan per
-        // label triple
-        assert_eq!(visited_csr, 2);
-        // an absent triple costs zero index-walk work
-        let (none, visited_none) = csr_miner.frequent_edges_for_triple(l(0), l(9), l(1));
-        assert!(none.is_none());
-        assert_eq!(visited_none, 0);
-    }
-
-    #[test]
     fn concat_doubles_length() {
         let g = two_path_copies();
         let m = miner(&g, 2);
         let len1 = m.frequent_edges();
-        let len2 = m.concat_double(&len1);
+        let len2 = m.merge_to_length(&len1, 2);
         // length-2 paths: (0,1,2), (1,2,3), (2,3,4) each support 2
         assert_eq!(len2.len(), 3);
         for p in &len2 {
             assert_eq!(p.len(), 2);
             assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 2);
         }
-        let len4 = m.concat_double(&len2);
+        let len4 = m.merge_to_length(&len2, 4);
         // length-4 path: only (0,1,2,3,4)
         assert_eq!(len4.len(), 1);
         assert_eq!(len4[0].len(), 4);
@@ -1371,7 +1218,7 @@ mod tests {
         ] {
             let m = miner(&g, 1);
             let len1 = m.frequent_edges();
-            let len2 = m.concat_double(&len1);
+            let len2 = m.merge_to_length(&len1, 2);
             let len2_ref = m.concat_double_reference(&len1);
             assert_eq!(len2.len(), len2_ref.len());
             for (a, b) in len2.iter().zip(&len2_ref) {
@@ -1413,7 +1260,7 @@ mod tests {
         let m = miner(&g, 2);
         // finalize(level1_table()) is exactly frequent_edges()
         let direct = m.frequent_edges();
-        let via_table = m.finalize(m.level1_table().into_patterns());
+        let via_table = m.finalize(m.level1_table().into_patterns(), &mut MiningStats::default(), true);
         assert_eq!(direct.len(), via_table.len());
         for (a, b) in direct.iter().zip(&via_table) {
             assert_eq!(a.key, b.key);

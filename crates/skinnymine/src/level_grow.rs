@@ -27,6 +27,12 @@
 //! into an ordered set, then re-scan every embedding row once per
 //! candidate — survives only as the test oracle behind
 //! [`LevelGrow::reference`]; its output is byte-identical.
+//!
+//! Both explorations walk a pattern's candidates through one candidate pass,
+//! on either engine.  Exhaustive exploration runs one pass per pattern and
+//! admits every child into its worklist.  Closure jumping runs *greedy*
+//! passes, which apply each support-preserving child in place, until a pass
+//! advances no more; the children left over are its branches.
 
 use crate::config::{Exploration, ReportMode, SkinnyMineConfig};
 use crate::constraints::{check_extension, ConstraintViolation};
@@ -38,8 +44,8 @@ use crate::path_pattern::PathPattern;
 use crate::result::SkinnyPattern;
 use crate::stats::MiningStats;
 use skinny_graph::{
-    CsrSnapshot, DfsCode, EmbeddingSet, OccurrenceStore, SupportBatch, SupportMeasure, SupportScratch,
-    VertexId, VertexMarks,
+    CanonSet, CsrSnapshot, DfsCode, EmbeddingSet, OccurrenceStore, SupportBatch, SupportMeasure,
+    SupportScratch, VertexId, VertexMarks,
 };
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -217,74 +223,31 @@ impl<'a> LevelGrow<'a> {
         debug_assert!(root.canon.is_some(), "the root is the first insert of a fresh set");
         let mut worklist: Vec<GrownPattern> = vec![root];
 
-        while let Some(current) = worklist.pop() {
+        while let Some(mut current) = worklist.pop() {
             outcome.examined += 1;
             let current_support = current.embeddings.support_with(self.config.support, &mut scratch.support);
             let mut is_maximal = true;
             let mut is_closed = true;
-
-            let GrowScratch { ext, row_marks, support, batch, gather, canon, structure, .. } = scratch;
             // a frequent constraint-preserving child flips the flags and
             // enters the worklist once: a fresh fingerprint admits it with
             // no canonical-key work at all, and only fingerprint collisions
             // pay for (memoized) min-DFS keys
-            let mut admit = |mut child: GrownPattern,
-                             support: usize,
-                             is_maximal: &mut bool,
-                             is_closed: &mut bool,
-                             worklist: &mut Vec<GrownPattern>,
-                             ticks: &mut PhaseTicks| {
-                *is_maximal = false;
-                if support == current_support {
-                    *is_closed = false;
-                }
-                let t = phase_ticks();
-                let id = canon.insert(&child.graph);
-                ticks.canon += phase_ticks().wrapping_sub(t);
-                if let Some(id) = id {
-                    child.canon = Some(id);
-                    worklist.push(child);
-                }
-            };
-            if !self.reference {
-                let t = phase_ticks();
-                ext.build(&current, &self.data, self.config.delta);
-                batch.invalidate();
-                ticks.candidates += phase_ticks().wrapping_sub(t);
-                for i in 0..ext.table.candidate_count() {
-                    let Some((child, sup)) = self.try_extension_indexed(
-                        &current,
-                        &ext.table,
-                        i,
-                        &mut outcome.stats,
-                        &mut ticks,
-                        batch,
-                        gather,
-                        structure,
-                    ) else {
-                        continue;
-                    };
-                    admit(child, sup, &mut is_maximal, &mut is_closed, &mut worklist, &mut ticks);
-                }
-            } else {
-                let t = phase_ticks();
-                let cands = self.candidate_extensions_reference(&current, ext);
-                ticks.candidates += phase_ticks().wrapping_sub(t);
-                for e in cands {
-                    let Some((child, sup)) = self.try_extension_reference(
-                        &current,
-                        e,
-                        &mut outcome.stats,
-                        &mut ticks,
-                        row_marks,
-                        support,
-                        structure,
-                    ) else {
-                        continue;
-                    };
-                    admit(child, sup, &mut is_maximal, &mut is_closed, &mut worklist, &mut ticks);
-                }
-            }
+            let admit =
+                |mut child: GrownPattern, support: usize, canon: &mut CanonSet, ticks: &mut PhaseTicks| {
+                    is_maximal = false;
+                    if support == current_support {
+                        is_closed = false;
+                    }
+                    let t = phase_ticks();
+                    let id = canon.insert(&child.graph);
+                    ticks.canon += phase_ticks().wrapping_sub(t);
+                    if let Some(id) = id {
+                        child.canon = Some(id);
+                        worklist.push(child);
+                    }
+                };
+            let (stats, ticks) = (&mut outcome.stats, &mut ticks);
+            self.candidate_pass(&mut current, current_support, false, scratch, stats, ticks, admit);
 
             let id = current.canon.expect("every worklist pattern is interned");
             let fp = scratch.canon.fingerprint_of(id);
@@ -319,115 +282,29 @@ impl<'a> LevelGrow<'a> {
         scratch.canon.insert(&root.graph);
         let mut worklist: Vec<GrownPattern> = vec![root];
 
-        while let Some(current) = worklist.pop() {
+        while let Some(mut closed) = worklist.pop() {
             outcome.examined += 1;
-            // 1. closure: apply support-preserving valid extensions until none
-            //    remains; the result is a closed pattern of this support
-            //    level.  Each pass applies every admissible extension of its
-            //    enumerated candidate set greedily (pattern vertex ids are
-            //    stable under extension, so the remaining descriptors stay
-            //    valid) instead of re-enumerating after every single
-            //    application — the re-enumeration loop was quadratic in the
-            //    closure length, dominating Stage II on large patterns.
-            let mut closed = current;
-            let mut closed_support =
-                closed.embeddings.support_with(self.config.support, &mut scratch.support);
+            // 1. closure: greedy passes apply support-preserving valid
+            //    extensions until a pass advances no more; the result is a
+            //    closed pattern of this support level.  Each pass applies
+            //    every admissible extension of its enumerated candidate set
+            //    instead of re-enumerating after every single application —
+            //    the re-enumeration loop was quadratic in the closure length,
+            //    dominating Stage II on large patterns.
+            let closed_support = closed.embeddings.support_with(self.config.support, &mut scratch.support);
             // 2. the final (non-advancing) pass doubles as the branch step:
-            //    every admissible child it finds is a support-changing
+            //    every admissible child it hands over is a support-changing
             //    extension of the now-closed pattern (a support-preserving one
             //    would have advanced the closure), so it is exactly the
-            //    branch set, with no separate re-enumeration.
+            //    branch set, with no separate re-enumeration.  A child
+            //    branches whichever way the support moved (the stored MNI of
+            //    a symmetric pattern can rise).
             let mut branches: Vec<GrownPattern> = Vec::new();
             loop {
-                let mut advanced = false;
                 branches.clear();
-                if !self.reference {
-                    let t = phase_ticks();
-                    scratch.ext.build(&closed, &self.data, self.config.delta);
-                    scratch.batch.invalidate();
-                    ticks.candidates += phase_ticks().wrapping_sub(t);
-                    let GrowScratch { ext, batch, gather, structure, .. } = scratch;
-                    // the table indexes the pass-start pattern's rows; a
-                    // greedy advance replaces the embedding list with the
-                    // gather of the applied candidate's entries, so the
-                    // table is refiltered through that row expansion in
-                    // place — no re-sweep of the data, and the candidate
-                    // enumeration (and its indices) stays exactly the
-                    // pass-start one the loop is walking
-                    let count = ext.table.candidate_count();
-                    for i in 0..count {
-                        // an earlier application in this pass may have
-                        // already closed this pair
-                        if let Extension::ClosingEdge { u, v, .. } = *ext.table.extension(i) {
-                            if closed.graph.has_edge(VertexId(u), VertexId(v)) {
-                                continue;
-                            }
-                        }
-                        let result = self.try_extension_indexed(
-                            &closed,
-                            &ext.table,
-                            i,
-                            &mut outcome.stats,
-                            &mut ticks,
-                            batch,
-                            gather,
-                            structure,
-                        );
-                        if let Some((child, sup)) = result {
-                            if sup == closed_support {
-                                if i + 1 < count {
-                                    let t = phase_ticks();
-                                    ext.refilter(i, closed.embeddings.len());
-                                    batch.invalidate();
-                                    ticks.candidates += phase_ticks().wrapping_sub(t);
-                                }
-                                closed = child;
-                                closed_support = sup;
-                                advanced = true;
-                            } else {
-                                // a support-changing extension: it branches
-                                // whichever way the support moved (the
-                                // stored MNI of a symmetric pattern can rise)
-                                branches.push(child);
-                            }
-                        }
-                    }
-                } else {
-                    let t = phase_ticks();
-                    let cands = self.candidate_extensions_reference(&closed, &mut scratch.ext);
-                    ticks.candidates += phase_ticks().wrapping_sub(t);
-                    let GrowScratch { row_marks, support, structure, .. } = scratch;
-                    for ext in cands {
-                        // an earlier application in this pass may have
-                        // already closed this pair
-                        if let Extension::ClosingEdge { u, v, .. } = ext {
-                            if closed.graph.has_edge(VertexId(u), VertexId(v)) {
-                                continue;
-                            }
-                        }
-                        if let Some((child, sup)) = self.try_extension_reference(
-                            &closed,
-                            ext,
-                            &mut outcome.stats,
-                            &mut ticks,
-                            row_marks,
-                            support,
-                            structure,
-                        ) {
-                            if sup == closed_support {
-                                closed = child;
-                                closed_support = sup;
-                                advanced = true;
-                            } else {
-                                // a support-changing extension: it branches
-                                // whichever way the support moved (the
-                                // stored MNI of a symmetric pattern can rise)
-                                branches.push(child);
-                            }
-                        }
-                    }
-                }
-                if !advanced {
+                let branch = |child, _, _: &mut CanonSet, _: &mut PhaseTicks| branches.push(child);
+                let (stats, ticks) = (&mut outcome.stats, &mut ticks);
+                if !self.candidate_pass(&mut closed, closed_support, true, scratch, stats, ticks, branch) {
                     break;
                 }
             }
@@ -457,6 +334,93 @@ impl<'a> LevelGrow<'a> {
         outcome.stats.record_canon(canon_stats);
         outcome.stats.level_grow.patterns_out = outcome.patterns.len() as u64;
         outcome
+    }
+
+    /// One pass over the candidate extensions of `pattern` (Algorithm 3's
+    /// candidate loop), in engine order: the extension table on the indexed
+    /// engine, the ordered reference set behind [`LevelGrow::reference`].
+    /// Every admitted child is handed to `visit` with its support and the
+    /// scratch's worklist funnel — except, in a greedy pass, the
+    /// support-preserving children, which are applied to `pattern` in place.
+    /// Returns whether the pattern advanced.
+    ///
+    /// A greedy pass keeps walking the pass-start enumeration after an
+    /// application: pattern vertex ids are stable under extension, so the
+    /// remaining descriptors stay valid, and on the indexed engine the table
+    /// (which indexes the pass-start rows) is refiltered in place through the
+    /// applied candidate's row expansion — no re-sweep of the data.
+    // the per-cluster accumulators ride as arguments: the visitor borrows
+    // the cluster's worklist state alongside them
+    #[allow(clippy::too_many_arguments)]
+    fn candidate_pass(
+        &self,
+        pattern: &mut GrownPattern,
+        support: usize,
+        greedy: bool,
+        scratch: &mut GrowScratch,
+        stats: &mut MiningStats,
+        ticks: &mut PhaseTicks,
+        mut visit: impl FnMut(GrownPattern, usize, &mut CanonSet, &mut PhaseTicks),
+    ) -> bool {
+        let GrowScratch { ext, row_marks, support: sort_buf, batch, gather, canon, structure, .. } = scratch;
+        // in a greedy pass an earlier application may have already closed
+        // a candidate pair
+        let stale = |pattern: &GrownPattern, e: &Extension| {
+            greedy
+                && matches!(*e, Extension::ClosingEdge { u, v, .. }
+                    if pattern.graph.has_edge(VertexId(u), VertexId(v)))
+        };
+        // applies a greedy pass's support-preserving child in place, hands
+        // every other admitted child to the visitor; true when applied
+        let mut advanced = false;
+        let mut take =
+            |pattern: &mut GrownPattern, child: GrownPattern, sup: usize, ticks: &mut PhaseTicks| {
+                let apply = greedy && sup == support;
+                if apply {
+                    *pattern = child;
+                    advanced = true;
+                } else {
+                    visit(child, sup, canon, ticks);
+                }
+                apply
+            };
+        if !self.reference {
+            let t = phase_ticks();
+            ext.build(pattern, &self.data, self.config.delta);
+            batch.invalidate();
+            ticks.candidates += phase_ticks().wrapping_sub(t);
+            let count = ext.table.candidate_count();
+            for i in 0..count {
+                if stale(pattern, ext.table.extension(i)) {
+                    continue;
+                }
+                let result = self
+                    .try_extension_indexed(pattern, &ext.table, i, stats, ticks, batch, gather, structure);
+                let Some((child, sup)) = result else { continue };
+                let parent_rows = pattern.embeddings.len();
+                if take(pattern, child, sup, ticks) && i + 1 < count {
+                    let t = phase_ticks();
+                    ext.refilter(i, parent_rows);
+                    batch.invalidate();
+                    ticks.candidates += phase_ticks().wrapping_sub(t);
+                }
+            }
+        } else {
+            let t = phase_ticks();
+            let cands = self.candidate_extensions_reference(pattern, ext);
+            ticks.candidates += phase_ticks().wrapping_sub(t);
+            for e in cands {
+                if stale(pattern, &e) {
+                    continue;
+                }
+                let result =
+                    self.try_extension_reference(pattern, e, stats, ticks, row_marks, sort_buf, structure);
+                if let Some((child, sup)) = result {
+                    take(pattern, child, sup, ticks);
+                }
+            }
+        }
+        advanced
     }
 
     /// Records a constraint-check verdict in the statistics; `true` when the
@@ -750,7 +714,9 @@ impl<'a> LevelGrow<'a> {
     }
 
     /// Applies the skinniness bound and the report-mode filter and converts
-    /// a grown pattern into a result pattern, carrying the canonical
+    /// a grown pattern into a result pattern (its support counts every
+    /// embedding; at most [`MAX_REPORTED_EMBEDDINGS`] of them are kept),
+    /// carrying the canonical
     /// fingerprint and (when the dedup funnel already paid for it) the
     /// memoized canonical key so downstream cross-cluster dedup never
     /// recomputes either.
@@ -781,9 +747,8 @@ impl<'a> LevelGrow<'a> {
         }
         // reporting is the cold path: materialize the columnar rows (up to
         // the cap) as an owned embedding list for the result type
-        let keep = self.config.max_embeddings_per_pattern.unwrap_or(usize::MAX).min(pattern.embeddings.len());
         let embeddings: EmbeddingSet =
-            pattern.embeddings.iter().take(keep).map(|r| r.to_embedding()).collect();
+            pattern.embeddings.iter().take(MAX_REPORTED_EMBEDDINGS).map(|r| r.to_embedding()).collect();
         Some(SkinnyPattern {
             graph: pattern.graph.clone(),
             diameter_len: pattern.diameter_len,
@@ -798,6 +763,11 @@ impl<'a> LevelGrow<'a> {
         })
     }
 }
+
+/// Most embeddings a reported pattern carries ([`SkinnyPattern::embeddings`]);
+/// the cap applies after the support check, so a pattern's support still
+/// counts all of them.
+const MAX_REPORTED_EMBEDDINGS: usize = 10_000;
 
 /// Inserts a [`Extension::NewVertexMulti`] built from the reusable subset
 /// buffer, moving the buffer into the set only when the extension is new: a

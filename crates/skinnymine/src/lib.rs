@@ -9,8 +9,9 @@
 //! ## The two-stage algorithm
 //!
 //! 1. **DiamMine** ([`diam_mine`]) mines all frequent simple paths of length
-//!    `l` — the minimal constraint-satisfying patterns — by doubling
-//!    (concatenating paths of length `2^i`) and merging overlapping paths.
+//!    `l` — the minimal constraint-satisfying patterns — with one
+//!    occurrence join at every overlap: doubling paths of length `2^i` at
+//!    a shared end vertex, then merging overlapping ones up to `l`.
 //! 2. **LevelGrow** ([`level_grow`]) grows each such canonical diameter level
 //!    by level into every skinny pattern of its cluster, maintaining the
 //!    canonical diameter through the local Constraint I/II/III checks

@@ -1,7 +1,7 @@
 //! Result types of a SkinnyMine run.
 
 use serde::{Deserialize, Serialize};
-use skinny_graph::{DfsCode, EmbeddingSet, Label, LabeledGraph, SupportMeasure};
+use skinny_graph::{DfsCode, EmbeddingSet, Label, LabeledGraph};
 
 use crate::stats::MiningStats;
 
@@ -20,7 +20,9 @@ pub struct SkinnyPattern {
     pub skinniness: u32,
     /// Support under the measure the run was configured with.
     pub support: usize,
-    /// All embeddings of the pattern in the data.
+    /// Embeddings of the pattern in the data: the first 10,000 in growth
+    /// order, or all of them when there are fewer.  [`SkinnyPattern::support`]
+    /// is measured before the cap, over every embedding.
     pub embeddings: EmbeddingSet,
     /// True when no frequent constraint-satisfying one-edge extension has the
     /// same support.
@@ -49,12 +51,6 @@ impl SkinnyPattern {
     /// Number of edges of the pattern (the paper's pattern size `|P|`).
     pub fn edge_count(&self) -> usize {
         self.graph.edge_count()
-    }
-
-    /// Recomputes the support under a different measure from the stored
-    /// embeddings.
-    pub fn support_under(&self, measure: SupportMeasure) -> usize {
-        self.embeddings.support(measure)
     }
 
     /// One-line description used by examples and the experiment harness.
@@ -180,11 +176,5 @@ mod tests {
         assert!(r.is_empty());
         assert!(r.largest_pattern().is_none());
         assert!(r.size_histogram().is_empty());
-    }
-
-    #[test]
-    fn support_under_other_measure() {
-        let p = pattern(3, 2, 1);
-        assert_eq!(p.support_under(SupportMeasure::EmbeddingCount), 1);
     }
 }

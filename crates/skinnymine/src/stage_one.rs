@@ -177,7 +177,8 @@ impl StageOne {
         stats: &mut MiningStats,
     ) -> SeedSet {
         let dm = self.diam_mine();
-        let level1 = dm.finalize(self.level1.clone_frequent(self.sigma, self.support));
+        let frequent = self.level1.clone_frequent(self.sigma, self.support);
+        let level1 = dm.finalize(frequent, &mut MiningStats::default(), true);
         mine_seeds(&dm.with_frequent_edges(level1), lo, hi, cycle_seeds, stats)
     }
 

@@ -94,11 +94,16 @@ proptest! {
         let data = MiningData::Transactions(&db);
         let dm = DiamMine::new(data, sigma, SupportMeasure::MinimumImage);
         let len1 = dm.frequent_edges();
-        let len2 = dm.concat_double(&len1);
+        // doubling is the join at target 2n: lengths 2, 4 and 8
+        let len2 = dm.merge_to_length(&len1, 2);
         prop_assert_eq!(fingerprint(&len2), fingerprint(&dm.concat_double_reference(&len1)));
-        let len4 = dm.concat_double(&len2);
+        let len4 = dm.merge_to_length(&len2, 4);
         prop_assert_eq!(fingerprint(&len4), fingerprint(&dm.concat_double_reference(&len2)));
-        // merge targets must satisfy n < target < 2n: length 3 merges len-2
+        prop_assert_eq!(
+            fingerprint(&dm.merge_to_length(&len4, 8)),
+            fingerprint(&dm.concat_double_reference(&len4))
+        );
+        // merge targets satisfy n < target < 2n: length 3 merges len-2
         // paths, lengths 5–7 merge len-4 paths
         for target in [3usize, 5, 6, 7] {
             let base = if target == 3 { &len2 } else { &len4 };

@@ -112,8 +112,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     assert_eq!(len1.len(), 1);
     let scanned_rows = 2 * len1[0].embeddings.len() as u64; // both orientations
     assert_eq!(scanned_rows, 600);
-    let _warmup = dm.concat_double(&len1);
-    let (concat_allocs, len2) = counted(|| dm.concat_double(&len1));
+    let _warmup = dm.merge_to_length(&len1, 2);
+    let (concat_allocs, len2) = counted(|| dm.merge_to_length(&len1, 2));
     assert!(len2.is_empty(), "a matching has no length-2 path");
     assert!(
         concat_allocs < scanned_rows / 4,
@@ -124,7 +124,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // ---- Stage I merge: reject path -------------------------------------
     let snapshot = CsrSnapshot::from_graph(&triangles_graph(200));
     let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
-    let len2 = dm.concat_double(&dm.frequent_edges());
+    let len2 = dm.merge_to_length(&dm.frequent_edges(), 2);
     assert_eq!(len2.len(), 1, "all length-2 paths share the all-zero label pattern");
     let scanned_rows = 2 * len2[0].embeddings.len() as u64;
     assert!(scanned_rows >= 1000, "fixture must scan many rows, got {scanned_rows}");
@@ -446,8 +446,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     let len1 = dm.frequent_edges();
     assert_eq!(len1.len(), 2);
     let scanned_rows = 2 * rows_of(&len1);
-    let _warmup = dm.concat_double(&len1);
-    let (accept_allocs, len2) = counted(|| dm.concat_double(&len1));
+    let _warmup = dm.merge_to_length(&len1, 2);
+    let (accept_allocs, len2) = counted(|| dm.merge_to_length(&len1, 2));
     assert_eq!(len2.len(), 1, "one length-2 pattern emitted");
     assert_eq!(len2[0].embeddings.len(), 200);
     assert!(
