@@ -7,10 +7,11 @@
 //!
 //! * a **vertex partition by label**: all vertices carrying a given label as
 //!   one contiguous slice ([`CsrGraph::vertices_with_label`]);
-//! * an **edge-triple index**: all edges whose canonical
-//!   `(min endpoint label, edge label, max endpoint label)` triple matches a
-//!   key, as one contiguous slice ([`CsrGraph::triple_edges`]).  Stage-I seed
-//!   enumeration walks these buckets instead of scanning every edge.
+//! * an **edge-triple index**: the edges of each canonical
+//!   `(min endpoint label, edge label, max endpoint label)` triple as one
+//!   contiguous bucket, walked in ascending key order by
+//!   [`CsrGraph::edge_triples`].  Stage-I seed enumeration walks these
+//!   buckets instead of scanning every edge.
 //!
 //! The snapshot is built once per transaction (see [`CsrSnapshot`]) and every
 //! downstream pass — seed enumeration, occurrence joins, index serving — is a
@@ -280,26 +281,12 @@ impl CsrGraph {
         &self.triple_keys
     }
 
-    /// All edges whose canonical triple is `(la, el, lb)` (callers may pass
-    /// the endpoint labels in either order), as a contiguous slice.
-    ///
-    /// Each entry is the edge's endpoints oriented so the first carries the
-    /// smaller label (ties broken by vertex id, i.e. `u < v`); the slice
-    /// preserves the global `(u asc, v asc)` edge scan order.  Walking one
-    /// bucket visits exactly the edges of that triple — this is what replaces
-    /// the full edge scan per label triple in Stage-I seed enumeration.
-    pub fn triple_edges(&self, la: Label, el: Label, lb: Label) -> &[(VertexId, VertexId)] {
-        let key = if la <= lb { (la, el, lb) } else { (lb, el, la) };
-        match self.triple_keys.binary_search(&key) {
-            Ok(i) => {
-                &self.triple_endpoints[self.triple_offsets[i] as usize..self.triple_offsets[i + 1] as usize]
-            }
-            Err(_) => &[],
-        }
-    }
-
     /// Iterates over `(triple key, edge bucket)` pairs in ascending key
     /// order — the Stage-I seed walk.
+    ///
+    /// Each bucket entry is an edge's endpoints oriented so the first
+    /// carries the smaller label (ties broken by vertex id, i.e. `u < v`),
+    /// and each bucket preserves the global `(u asc, v asc)` edge scan order.
     pub fn edge_triples(&self) -> impl Iterator<Item = (EdgeTriple, &[(VertexId, VertexId)])> + '_ {
         self.triple_keys.iter().enumerate().map(move |(i, &key)| {
             let bucket =
@@ -706,13 +693,6 @@ mod tests {
         let c = CsrGraph::from_graph(&g);
         // triples: (a,5,b) x2 [(0,1),(2,1)], (a,6,a) x1 [(0,2)], (a,5,c) x1 [(2,3)]
         assert_eq!(c.edge_triple_keys().len(), 3);
-        let ab = c.triple_edges(l(0), l(5), l(1));
-        assert_eq!(ab, &[(VertexId(0), VertexId(1)), (VertexId(2), VertexId(1))]);
-        // endpoint labels in either order reach the same bucket
-        assert_eq!(c.triple_edges(l(1), l(5), l(0)), ab);
-        assert_eq!(c.triple_edges(l(0), l(6), l(0)), &[(VertexId(0), VertexId(2))]);
-        assert_eq!(c.triple_edges(l(0), l(5), l(2)), &[(VertexId(2), VertexId(3))]);
-        assert!(c.triple_edges(l(0), l(9), l(1)).is_empty());
         // buckets partition the edge set
         let total: usize = c.edge_triples().map(|(_, bucket)| bucket.len()).sum();
         assert_eq!(total, c.edge_count());

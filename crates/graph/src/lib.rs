@@ -15,9 +15,9 @@
 //! * [`occurrence::OccurrenceStore`] — columnar (SoA) occurrence lists with
 //!   the same support measures as [`embedding::EmbeddingSet`] and arena-based
 //!   extension joins;
-//! * [`occ_index`] — the occurrence join engine substrate: CSR-style
-//!   endpoint/prefix posting lists over occurrence rows
-//!   ([`occ_index::OccurrenceIndex`]) and epoch-stamped scratch tables
+//! * [`occ_index`] — the occurrence join engine substrate: dense
+//!   `(transaction, head vertex)` posting lists over occurrence rows
+//!   ([`occ_index::PrefixIndex`]) and epoch-stamped scratch tables
 //!   ([`occ_index::VertexMarks`], [`occ_index::JoinScratch`]) that make the
 //!   per-row join work allocation-free;
 //! * [`path::Path`] — simple paths with the paper's lexicographical
@@ -77,8 +77,8 @@ pub use graph::{Edge, GraphSignature, LabeledGraph, VertexId};
 pub use iso::{are_isomorphic, automorphism_count};
 pub use label::{Label, LabelTable};
 pub use occ_index::{
-    all_distinct_marked, disjoint_except_shared_marked, GroupSorter, JoinScratch, KeyMarks, OccurrenceIndex,
-    PairMemo, PrefixIndex, VertexMarks, VertexSlots,
+    all_distinct_marked, disjoint_except_shared_marked, GroupSorter, JoinScratch, KeyMarks, PairMemo,
+    PrefixIndex, VertexMarks, VertexSlots,
 };
 pub use occurrence::{OccRow, OccurrenceStore, SupportBatch, SupportScratch};
 pub use path::{enumerate_simple_paths, lexicographic_path_order, total_path_order, Path};

@@ -1,18 +1,16 @@
-//! The occurrence join engine substrate: endpoint-indexed posting lists over
+//! The occurrence join engine substrate: head-vertex posting lists over
 //! [`OccurrenceStore`] rows and epoch-stamped scratch tables.
 //!
 //! Stage I's occurrence-level joins (path concatenation and overlap merge)
 //! and Stage II's extension enumeration are the mining hot loops.  This
-//! module provides the two structures that make their per-row work
+//! module provides the structures that make their per-row work
 //! allocation-free:
 //!
-//! * [`OccurrenceIndex`] — CSR-style posting lists over row ids, grouped by
-//!   `(transaction, vertex prefix)` in **first-occurrence order**, with the
-//!   global row order preserved inside every group.  One build replaces the
-//!   per-join `HashMap<(usize, Vec<VertexId>), Vec<u32>>` (which allocated a
-//!   boxed key and a posting vector per distinct endpoint): the prefix keys
-//!   are borrowed straight from the store's flat arena and the posting lists
-//!   live in one contiguous buffer filled by a stable counting sort.
+//! * [`PrefixIndex`] — posting lists over row ids, grouped by
+//!   `(transaction, head vertex)` under a dense key and laid out by one
+//!   stable counting sort ([`GroupSorter`]), with the global row order
+//!   preserved inside every list.  A lookup is two array reads; a join at a
+//!   wider overlap filters the head list by the next overlap vertices.
 //! * [`VertexMarks`] / [`VertexSlots`] — dense epoch-stamped tables over data
 //!   vertex ids.  Resetting is an epoch bump (O(1)), so per-row distinctness
 //!   and reverse-image probes are O(k) array accesses with no clearing cost
@@ -29,90 +27,6 @@
 use crate::graph::VertexId;
 use crate::label::Label;
 use crate::occurrence::OccurrenceStore;
-use std::collections::HashMap;
-
-/// CSR-style posting lists over the rows of one [`OccurrenceStore`], grouped
-/// by `(transaction, row prefix of a fixed length)`.
-///
-/// Groups are numbered in first-occurrence order and every posting list keeps
-/// the global row order, so iterating a group visits exactly the rows the
-/// naive `HashMap<(transaction, prefix), Vec<row>>` grouping would, in the
-/// same order.
-#[derive(Debug)]
-pub struct OccurrenceIndex<'a> {
-    /// Prefix length (in vertices) the rows are grouped by.
-    prefix_len: usize,
-    /// Group id per distinct `(transaction, prefix)`, keyed by slices
-    /// borrowed from the store arena (no key cloning).
-    groups: HashMap<(u32, &'a [VertexId]), u32>,
-    /// Start offset of each group's posting list (`groups + 1` entries).
-    offsets: Vec<u32>,
-    /// Row ids, grouped by group id, global row order inside each group.
-    postings: Vec<u32>,
-}
-
-impl<'a> OccurrenceIndex<'a> {
-    /// Builds the index grouping the store's rows by transaction and their
-    /// first `prefix_len` vertices.
-    ///
-    /// # Panics
-    /// Panics when `prefix_len` is zero or exceeds the store arity (for a
-    /// non-empty store).
-    pub fn by_prefix(store: &'a OccurrenceStore, prefix_len: usize) -> Self {
-        if !store.is_empty() {
-            assert!(
-                prefix_len >= 1 && prefix_len <= store.arity(),
-                "prefix length {prefix_len} out of range for arity {}",
-                store.arity()
-            );
-        }
-        let rows = store.len();
-        let mut groups: HashMap<(u32, &'a [VertexId]), u32> = HashMap::with_capacity(rows);
-        let mut group_of_row: Vec<u32> = Vec::with_capacity(rows);
-        let mut ngroups = 0u32;
-        for i in 0..rows {
-            let key = (store.transaction(i) as u32, &store.row(i)[..prefix_len]);
-            let g = *groups.entry(key).or_insert_with(|| {
-                let g = ngroups;
-                ngroups += 1;
-                g
-            });
-            group_of_row.push(g);
-        }
-        let mut offsets = Vec::new();
-        let mut postings = Vec::new();
-        GroupSorter::new().group_into(&group_of_row, ngroups as usize, &mut offsets, &mut postings);
-        OccurrenceIndex { prefix_len, groups, offsets, postings }
-    }
-
-    /// Prefix length the index groups by.
-    #[inline]
-    pub fn prefix_len(&self) -> usize {
-        self.prefix_len
-    }
-
-    /// Number of distinct `(transaction, prefix)` groups.
-    #[inline]
-    pub fn group_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The posting list (row ids in global row order) of `(transaction,
-    /// key)`; empty when the group does not exist.  `key` can be any vertex
-    /// slice of the index's prefix length — typically a suffix of another row
-    /// — and is only borrowed for the lookup.
-    #[inline]
-    pub fn postings(&self, transaction: usize, key: &[VertexId]) -> &[u32] {
-        debug_assert_eq!(key.len(), self.prefix_len, "lookup key length mismatch");
-        match self.groups.get(&(transaction as u32, key)) {
-            Some(&g) => {
-                let (lo, hi) = (self.offsets[g as usize] as usize, self.offsets[g as usize + 1] as usize);
-                &self.postings[lo..hi]
-            }
-            None => &[],
-        }
-    }
-}
 
 /// A dense epoch-stamped vertex set: `O(1)` insert/test over data vertex ids,
 /// `O(1)` reset (epoch bump), zero per-reset clearing and — after warm-up —
@@ -214,7 +128,7 @@ impl VertexSlots {
 /// into CSR-style `(offsets, order)` posting lists whose per-group order is
 /// the original item order.
 ///
-/// This is the grouping kernel behind [`OccurrenceIndex::by_prefix`] and the
+/// This is the grouping kernel behind [`PrefixIndex::build`] and the
 /// Stage-II extension table: both need "all items of group g, in
 /// first-to-last discovery order" without building one `Vec` per group.  The
 /// counts buffer is reused across calls, so steady-state grouping allocates
@@ -313,39 +227,33 @@ impl GroupSorter {
     }
 }
 
-/// An **owned** prefix-grouped posting index over [`OccurrenceStore`] rows —
-/// the level-carried sibling of [`OccurrenceIndex`].
+/// Posting lists over the rows of one [`OccurrenceStore`], grouped by
+/// `(transaction, head vertex)` and stored densely — the level-carried join
+/// index of the Stage-I ladder.
 ///
-/// Where [`OccurrenceIndex`] borrows its keys from the store (and therefore
-/// must be rebuilt from a fresh `HashMap` every time the store it borrows
-/// from is replaced), `PrefixIndex` owns all of its arenas: group lookup runs
-/// on an epoch-stamped open-addressing table keyed by a multiply-fold hash of
-/// `(transaction, prefix)` with collisions verified against each group's
-/// **representative row** in the store, so a warm rebuild over a new store
-/// touches no allocator at all (pinned in `tests/alloc_hot_loops.rs` via the
-/// ladder-level rebuild).  Group ids are assigned in first-occurrence scan
-/// order and every posting list keeps the global row order — the same
-/// iteration contract as [`OccurrenceIndex::by_prefix`], property-tested
-/// byte-identical in `crates/graph/tests/occ_index_properties.rs`.
+/// Row `i` of transaction `t` gets the key `base[t] + row[0]`, where `base`
+/// holds the exclusive prefix sums over transactions of `max head + 1`; one
+/// stable counting sort ([`GroupSorter::group_into`]) over those keys lays
+/// the posting lists out, so every list keeps the global row order and a
+/// lookup is two array reads.  The index is independent of any overlap
+/// width: a join at overlap `k` reads the head list of its probing row's
+/// suffix start and skips the partners whose next `k − 1` vertices differ,
+/// which leaves exactly the naive `(transaction, k-prefix)` group in the same
+/// order (property-tested in `crates/graph/tests/occ_index_properties.rs`).
+/// All arenas are owned, so a warm rebuild of the same shape allocates
+/// nothing (pinned in `tests/alloc_hot_loops.rs` via the ladder-level
+/// rebuild).
 #[derive(Debug, Default)]
 pub struct PrefixIndex {
-    /// Prefix length (in vertices) the rows are grouped by.
-    prefix_len: usize,
-    /// Epoch of the open-addressing table (starts at 1 like [`KeyMarks`]).
-    epoch: u32,
-    /// Per-slot epoch stamp of the lookup table.
-    stamp: Vec<u32>,
-    /// Per-slot group id of the lookup table.
-    slot_group: Vec<u32>,
-    /// Representative (first) row id per group — the collision verifier.
-    first_row: Vec<u32>,
-    /// Transaction per group (saves re-reading the store on verify).
-    group_txn: Vec<u32>,
-    /// Group id per row of the last built store.
-    group_of_row: Vec<u32>,
-    /// Start offset of each group's posting list (`groups + 1` entries).
+    /// `base[t]..base[t + 1]` is transaction `t`'s key range (one key per
+    /// head vertex id up to its largest head); largest transaction + 2
+    /// entries, none for an empty store.
+    base: Vec<u32>,
+    /// Dense key per row of the last built store.
+    key_of_row: Vec<u32>,
+    /// Start offset of each key's posting list (`keys + 1` entries).
     offsets: Vec<u32>,
-    /// Row ids, grouped by group id, global row order inside each group.
+    /// Row ids, grouped by key, global row order inside each key.
     postings: Vec<u32>,
     /// Reused counting-sort kernel for the posting scatter.
     sorter: GroupSorter,
@@ -354,129 +262,53 @@ pub struct PrefixIndex {
 impl PrefixIndex {
     /// Creates an empty index (arenas grow on first build, then stay).
     pub fn new() -> Self {
-        PrefixIndex { epoch: 1, ..Default::default() }
-    }
-
-    /// Multiply-fold hash of a `(transaction, prefix)` key.
-    #[inline]
-    fn hash_key(transaction: u32, prefix: &[VertexId]) -> u64 {
-        let mut h = (transaction as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        for &v in prefix {
-            h = (h ^ v.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-        h ^ (h >> 32)
+        PrefixIndex::default()
     }
 
     /// (Re)builds the index over `store`, grouping rows by transaction and
-    /// their first `prefix_len` vertices.  Group numbering is
-    /// first-occurrence scan order, posting lists keep global row order.
-    /// Warm rebuilds (table already sized for the row count) allocate
-    /// nothing.
+    /// head vertex.  Posting lists keep global row order.  Warm rebuilds of
+    /// the same shape allocate nothing.
     ///
     /// # Panics
-    /// Panics when `prefix_len` is zero or exceeds the store arity (for a
-    /// non-empty store).
-    pub fn build(&mut self, store: &OccurrenceStore, prefix_len: usize) {
-        if !store.is_empty() {
-            assert!(
-                prefix_len >= 1 && prefix_len <= store.arity(),
-                "prefix length {prefix_len} out of range for arity {}",
-                store.arity()
-            );
-        }
-        self.prefix_len = prefix_len;
+    /// Panics when the dense key space (the sum over transactions of their
+    /// largest head vertex id + 1) does not fit in `u32`.
+    pub fn build(&mut self, store: &OccurrenceStore) {
         let rows = store.len();
-        // size the lookup table for the worst case (every row its own group)
-        // up front, so the insert loop never rehashes mid-build
-        let cap = (rows * 2).next_power_of_two().max(64);
-        if self.stamp.len() < cap {
-            self.stamp.clear();
-            self.stamp.resize(cap, 0);
-            self.slot_group.resize(cap, 0);
-            self.epoch = 1;
-        } else if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-        self.first_row.clear();
-        self.group_txn.clear();
-        self.group_of_row.clear();
-        let mask = self.stamp.len() - 1;
+        // per-transaction key span (largest head + 1), then exclusive prefix
+        // sums over it in place
+        self.base.clear();
         for i in 0..rows {
-            let t = store.transaction(i) as u32;
-            let prefix = &store.row(i)[..prefix_len];
-            let mut s = (Self::hash_key(t, prefix) as usize) & mask;
-            let g = loop {
-                if self.stamp[s] != self.epoch {
-                    // first occurrence of this (transaction, prefix)
-                    let g = self.first_row.len() as u32;
-                    self.stamp[s] = self.epoch;
-                    self.slot_group[s] = g;
-                    self.first_row.push(i as u32);
-                    self.group_txn.push(t);
-                    break g;
-                }
-                let g = self.slot_group[s];
-                if self.group_txn[g as usize] == t
-                    && &store.row(self.first_row[g as usize] as usize)[..prefix_len] == prefix
-                {
-                    break g;
-                }
-                s = (s + 1) & mask;
-            };
-            self.group_of_row.push(g);
+            let t = store.transaction(i);
+            if t + 1 >= self.base.len() {
+                self.base.resize(t + 2, 0);
+            }
+            let span = store.row(i)[0].0.checked_add(1).expect("head vertex id overflows the key space");
+            self.base[t] = self.base[t].max(span);
         }
-        self.sorter.group_into(
-            &self.group_of_row,
-            self.first_row.len(),
-            &mut self.offsets,
-            &mut self.postings,
-        );
+        let mut acc = 0u32;
+        for slot in &mut self.base {
+            let span = *slot;
+            *slot = acc;
+            acc = acc.checked_add(span).expect("(transaction, head) key space exceeds u32");
+        }
+        self.key_of_row.clear();
+        self.key_of_row.extend((0..rows).map(|i| self.base[store.transaction(i)] + store.row(i)[0].0));
+        self.sorter.group_into(&self.key_of_row, acc as usize, &mut self.offsets, &mut self.postings);
     }
 
-    /// Prefix length the index groups by.
+    /// The posting list (row ids in global row order) of the rows of
+    /// `transaction` whose head is `head`; empty for an unknown transaction
+    /// or a head past that transaction's range.
     #[inline]
-    pub fn prefix_len(&self) -> usize {
-        self.prefix_len
-    }
-
-    /// Number of distinct `(transaction, prefix)` groups.
-    #[inline]
-    pub fn group_count(&self) -> usize {
-        self.first_row.len()
-    }
-
-    /// The posting list (row ids in global row order) of `(transaction,
-    /// key)` in `store` — which must be the store the index was built over;
-    /// empty when the group does not exist.  `key` can be any vertex slice of
-    /// the index's prefix length, typically a suffix of another row.
-    #[inline]
-    pub fn postings<'s>(
-        &'s self,
-        store: &OccurrenceStore,
-        transaction: usize,
-        key: &[VertexId],
-    ) -> &'s [u32] {
-        debug_assert_eq!(key.len(), self.prefix_len, "lookup key length mismatch");
-        if self.stamp.is_empty() {
+    pub fn postings(&self, transaction: usize, head: VertexId) -> &[u32] {
+        let (Some(&lo), Some(&hi)) = (self.base.get(transaction), self.base.get(transaction + 1)) else {
+            return &[];
+        };
+        if head.0 >= hi - lo {
             return &[];
         }
-        let t = transaction as u32;
-        let mask = self.stamp.len() - 1;
-        let mut s = (Self::hash_key(t, key) as usize) & mask;
-        loop {
-            if self.stamp[s] != self.epoch {
-                return &[];
-            }
-            let g = self.slot_group[s] as usize;
-            if self.group_txn[g] == t && &store.row(self.first_row[g] as usize)[..self.prefix_len] == key {
-                let (lo, hi) = (self.offsets[g] as usize, self.offsets[g + 1] as usize);
-                return &self.postings[lo..hi];
-            }
-            s = (s + 1) & mask;
-        }
+        let key = (lo + head.0) as usize;
+        &self.postings[self.offsets[key] as usize..self.offsets[key + 1] as usize]
     }
 }
 
@@ -748,43 +580,35 @@ mod tests {
     }
 
     #[test]
-    fn postings_group_by_prefix_in_row_order() {
+    fn postings_group_by_head_in_row_order() {
         let s = store();
-        let idx = OccurrenceIndex::by_prefix(&s, 2);
-        assert_eq!(idx.prefix_len(), 2);
-        assert_eq!(idx.group_count(), 4);
-        assert_eq!(idx.postings(0, &v(&[0, 1])), &[0, 1]);
-        assert_eq!(idx.postings(1, &v(&[0, 1])), &[2]);
-        assert_eq!(idx.postings(0, &v(&[2, 1])), &[3]);
-        assert_eq!(idx.postings(0, &v(&[0, 2])), &[4]);
-        assert!(idx.postings(0, &v(&[9, 9])).is_empty());
-        assert!(idx.postings(7, &v(&[0, 1])).is_empty());
-    }
-
-    #[test]
-    fn head_index_is_a_length_one_prefix() {
-        let s = store();
-        let idx = OccurrenceIndex::by_prefix(&s, 1);
-        assert_eq!(idx.postings(0, &v(&[0])), &[0, 1, 4]);
-        assert_eq!(idx.postings(0, &v(&[2])), &[3]);
-        // a lookup key borrowed from another row's suffix works
-        let row = s.row(3);
-        assert_eq!(idx.postings(0, &row[2..]), &[0, 1, 4]);
+        let mut idx = PrefixIndex::new();
+        idx.build(&s);
+        assert_eq!(idx.postings(0, VertexId(0)), &[0, 1, 4]);
+        assert_eq!(idx.postings(1, VertexId(0)), &[2]);
+        assert_eq!(idx.postings(0, VertexId(2)), &[3]);
+        // a head inside the transaction's range that no row starts at
+        assert!(idx.postings(0, VertexId(1)).is_empty());
+        // a head past the range, and unknown transactions
+        assert!(idx.postings(0, VertexId(9)).is_empty());
+        assert!(idx.postings(1, VertexId(2)).is_empty());
+        assert!(idx.postings(7, VertexId(0)).is_empty());
     }
 
     #[test]
     fn empty_store_indexes_fine() {
-        let s = OccurrenceStore::new(4);
-        let idx = OccurrenceIndex::by_prefix(&s, 2);
-        assert_eq!(idx.group_count(), 0);
-        assert!(idx.postings(0, &v(&[0, 1])).is_empty());
+        let mut idx = PrefixIndex::new();
+        idx.build(&OccurrenceStore::new(4));
+        assert!(idx.postings(0, VertexId(0)).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn oversized_prefix_panics() {
-        let s = store();
-        let _ = OccurrenceIndex::by_prefix(&s, 4);
+    #[should_panic(expected = "key space exceeds u32")]
+    fn oversized_key_space_panics() {
+        let mut s = OccurrenceStore::new(2);
+        s.push_row(0, &v(&[u32::MAX - 1, 0]));
+        s.push_row(1, &v(&[u32::MAX - 1, 0]));
+        PrefixIndex::new().build(&s);
     }
 
     #[test]

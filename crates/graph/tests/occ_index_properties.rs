@@ -1,93 +1,103 @@
 //! Property-based parity of the occurrence join engine's posting lists:
-//! [`OccurrenceIndex`] must group rows exactly like the naive
-//! `HashMap<(transaction, prefix), Vec<row>>` build it replaced — same
-//! groups, same members, and **the same global row order inside every
-//! group** (the order the Stage-I joins iterate, which the byte-identity
-//! guarantee of the miner rests on).
+//! [`PrefixIndex`] must group rows exactly like the naive
+//! `HashMap<(transaction, head), Vec<row>>` build — same groups, same
+//! members, and **the same global row order inside every group** (the order
+//! the Stage-I joins iterate, which the byte-identity guarantee of the miner
+//! rests on) — and a head list filtered by the next prefix vertices must be
+//! exactly the naive `(transaction, prefix)` group at every prefix length.
 
 use proptest::prelude::*;
-use skinny_graph::{OccurrenceIndex, OccurrenceStore, PrefixIndex, SupportMeasure, SupportScratch, VertexId};
+use skinny_graph::{OccurrenceStore, PrefixIndex, SupportMeasure, SupportScratch, VertexId};
 use std::collections::HashMap;
 
 /// Strategy: a random occurrence store (arity 2–4, small vertex-id alphabet
-/// so prefixes collide often) plus a prefix length to group by.
-fn any_store_and_prefix(max_rows: usize) -> impl Strategy<Value = (OccurrenceStore, usize)> {
+/// so heads and prefixes collide often).
+fn any_store(max_rows: usize) -> impl Strategy<Value = OccurrenceStore> {
     (2..=4usize).prop_flat_map(move |arity| {
-        let rows =
-            proptest::collection::vec((0..3usize, proptest::collection::vec(0..8u32, arity)), 0..=max_rows);
-        (rows, 1..=arity).prop_map(move |(rows, prefix_len)| {
-            let mut store = OccurrenceStore::new(arity);
-            for (t, vs) in rows {
-                let v: Vec<VertexId> = vs.into_iter().map(VertexId).collect();
-                store.push_row(t, &v);
-            }
-            (store, prefix_len)
-        })
+        proptest::collection::vec((0..3usize, proptest::collection::vec(0..8u32, arity)), 0..=max_rows)
+            .prop_map(move |rows| {
+                let mut store = OccurrenceStore::new(arity);
+                for (t, vs) in rows {
+                    let v: Vec<VertexId> = vs.into_iter().map(VertexId).collect();
+                    store.push_row(t, &v);
+                }
+                store
+            })
     })
+}
+
+/// The naive grouping of the store's rows by transaction and their first
+/// `k` vertices, in global row order.
+fn naive_groups(store: &OccurrenceStore, k: usize) -> HashMap<(usize, Vec<VertexId>), Vec<u32>> {
+    let mut naive: HashMap<(usize, Vec<VertexId>), Vec<u32>> = HashMap::new();
+    for i in 0..store.len() {
+        naive.entry((store.transaction(i), store.row(i)[..k].to_vec())).or_default().push(i as u32);
+    }
+    naive
+}
+
+/// Checks that filtering the head list of every naive `(transaction,
+/// k-prefix)` group's key by the rest of the prefix yields that group, for
+/// every `k` — the lookup the Stage-I join performs at overlap `k`.
+fn assert_filtered_heads_match(index: &PrefixIndex, store: &OccurrenceStore) -> Result<(), TestCaseError> {
+    for k in 1..=store.arity() {
+        for ((t, key), rows) in naive_groups(store, k) {
+            let filtered: Vec<u32> = index
+                .postings(t, key[0])
+                .iter()
+                .copied()
+                .filter(|&r| store.row(r as usize)[..k] == key[..])
+                .collect();
+            prop_assert_eq!(filtered, rows, "prefix length {}", k);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn index_matches_naive_hashmap_grouping((store, prefix_len) in any_store_and_prefix(40)) {
-        let index = OccurrenceIndex::by_prefix(&store, prefix_len);
-        let mut naive: HashMap<(usize, Vec<VertexId>), Vec<u32>> = HashMap::new();
-        for i in 0..store.len() {
-            naive
-                .entry((store.transaction(i), store.row(i)[..prefix_len].to_vec()))
-                .or_default()
-                .push(i as u32);
+    fn index_matches_naive_hashmap_grouping(store in any_store(40)) {
+        let mut index = PrefixIndex::new();
+        index.build(&store);
+        let naive = naive_groups(&store, 1);
+        // every (transaction, head) of the alphabet answers with exactly its
+        // naive group, in global row order, or with nothing
+        for t in 0..4usize {
+            for h in 0..10u32 {
+                let expected = naive.get(&(t, vec![VertexId(h)])).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(index.postings(t, VertexId(h)), expected);
+            }
         }
-        prop_assert_eq!(index.group_count(), naive.len());
-        for ((t, key), rows) in &naive {
-            // identical members in identical (global row) order
-            prop_assert_eq!(index.postings(*t, key), rows.as_slice());
-        }
-        // a key absent from the store answers with an empty posting list
-        let absent = vec![VertexId(99); prefix_len];
-        prop_assert!(index.postings(0, &absent).is_empty());
-        prop_assert!(index.postings(77, &absent).is_empty());
+        // an absent head and an absent transaction answer with nothing
+        prop_assert!(index.postings(0, VertexId(99)).is_empty());
+        prop_assert!(index.postings(77, VertexId(0)).is_empty());
     }
 
     #[test]
-    fn prefix_index_matches_borrowing_index((store, prefix_len) in any_store_and_prefix(40)) {
-        // the owned epoch-stamped PrefixIndex (the level-carried index the
-        // Stage-I join kernels probe) must answer every lookup exactly like
-        // the borrowing OccurrenceIndex it generalizes — same groups, same
-        // members, same global row order — including after a warm rebuild
-        // over a different store
-        let reference = OccurrenceIndex::by_prefix(&store, prefix_len);
+    fn prefix_index_matches_borrowing_index(store in any_store(40)) {
+        // the head index, filtered by the next prefix vertices, must answer
+        // every (transaction, prefix) lookup exactly like the naive grouping
+        // — same members, same global row order — at every prefix length,
+        // including after a warm rebuild over a different store
         let mut index = PrefixIndex::new();
-        index.build(&store, prefix_len);
-        prop_assert_eq!(index.group_count(), reference.group_count());
-        prop_assert_eq!(index.prefix_len(), prefix_len);
-        for i in 0..store.len() {
-            let key = &store.row(i)[..prefix_len];
-            let t = store.transaction(i);
-            prop_assert_eq!(index.postings(&store, t, key), reference.postings(t, key));
-        }
-        let absent = vec![VertexId(99); prefix_len];
-        prop_assert!(index.postings(&store, 0, &absent).is_empty());
+        index.build(&store);
+        assert_filtered_heads_match(&index, &store)?;
         // warm rebuild over a shuffled view: reversing the push order changes
         // every global row id, so stale entries from the first build would
-        // surface immediately if the epoch stamping leaked
+        // surface immediately if the rebuild leaked
         let mut reversed = OccurrenceStore::new(store.arity());
         for i in (0..store.len()).rev() {
             reversed.push_row(store.transaction(i), store.row(i));
         }
-        index.build(&reversed, prefix_len);
-        let reference2 = OccurrenceIndex::by_prefix(&reversed, prefix_len);
-        for i in 0..reversed.len() {
-            let key = &reversed.row(i)[..prefix_len];
-            let t = reversed.transaction(i);
-            prop_assert_eq!(index.postings(&reversed, t, key), reference2.postings(t, key));
-        }
+        index.build(&reversed);
+        assert_filtered_heads_match(&index, &reversed)?;
     }
 
     #[test]
     fn pruned_support_is_verdict_equivalent(
-        (store, _) in any_store_and_prefix(40),
+        store in any_store(40),
         sigma in 0..12usize,
     ) {
         // the σ-pruned evaluator must decide `support < sigma` exactly like
@@ -116,18 +126,20 @@ proptest! {
     }
 
     #[test]
-    fn every_row_appears_exactly_once((store, prefix_len) in any_store_and_prefix(40)) {
-        let index = OccurrenceIndex::by_prefix(&store, prefix_len);
+    fn every_row_appears_exactly_once(store in any_store(40)) {
+        let mut index = PrefixIndex::new();
+        index.build(&store);
         let mut seen = vec![0usize; store.len()];
         for i in 0..store.len() {
-            for &r in index.postings(store.transaction(i), &store.row(i)[..prefix_len]) {
+            for &r in index.postings(store.transaction(i), store.row(i)[0]) {
                 seen[r as usize] += 1;
             }
         }
         // every row is reachable through its own key; lookups of shared keys
         // revisit whole groups, so counts equal the group size
         for (i, &count) in seen.iter().enumerate() {
-            let group = index.postings(store.transaction(i), &store.row(i)[..prefix_len]);
+            let group = index.postings(store.transaction(i), store.row(i)[0]);
+            prop_assert!(group.contains(&(i as u32)));
             prop_assert_eq!(count, group.len());
         }
     }

@@ -37,10 +37,11 @@
 //!
 //! * **level-carried arenas** — each finalized level is wrapped in a
 //!   [`LadderLevel`] whose directed-occurrence store, `(pattern, direction)`
-//!   row sources and owned [`PrefixIndex`] are built once per level (one
-//!   pass + one scatter) and re-probed by every join that consumes the
-//!   level (an index-only re-scatter when the overlap width changes),
-//!   instead of a per-join rebuild of borrowed-key hash maps;
+//!   row sources and owned [`PrefixIndex`] over `(transaction, head vertex)`
+//!   are built once per level (one pass + one counting sort) and probed by
+//!   every join that consumes the level at any overlap width: a join reads
+//!   the head list of its probing row's overlap start and skips partners
+//!   whose next overlap vertices differ;
 //! * a **pattern-pair memo** — a directed row's label sequence is fully
 //!   determined by its source `(pattern, direction)`, so all products of one
 //!   source pair share one canonical key: only the first product pays label
@@ -114,8 +115,8 @@ fn directed_occurrences(patterns: &[PathPattern]) -> OccurrenceStore {
 /// The owned join arenas of one ladder level: the directed-occurrence store
 /// (forward row then reversed row per occurrence, pattern-major), the packed
 /// `(pattern index << 1) | direction` source of every directed row, and the
-/// carried [`PrefixIndex`] the consuming join probes.  All three rebuild in
-/// place with zero allocations once warm.
+/// carried head-vertex [`PrefixIndex`] every consuming join probes.  All
+/// three rebuild in place with zero allocations once warm.
 #[derive(Debug, Default)]
 struct LevelArenas {
     occs: OccurrenceStore,
@@ -125,10 +126,11 @@ struct LevelArenas {
 
 impl LevelArenas {
     /// One pass over the finalized patterns filling the directed store and
-    /// row sources, then one scatter building the prefix index — the carried
-    /// replacement for the per-join `directed_occurrences` + hash-map index
-    /// rebuild.  Row order is byte-identical to [`directed_occurrences`].
-    fn rebuild(&mut self, patterns: &[PathPattern], prefix_len: usize) {
+    /// row sources, then one counting sort building the head index — the
+    /// carried replacement for the per-join `directed_occurrences` +
+    /// hash-map index rebuild.  Row order is byte-identical to
+    /// [`directed_occurrences`].
+    fn rebuild(&mut self, patterns: &[PathPattern]) {
         let arity = patterns.first().map_or(0, |p| p.key.vertex_labels.len());
         let rows: usize = patterns.iter().map(|p| p.embeddings.len()).sum();
         self.occs.reset(arity);
@@ -144,21 +146,14 @@ impl LevelArenas {
                 self.source.push(src | 1);
             }
         }
-        self.index.build(&self.occs, prefix_len);
-    }
-
-    /// Rebuilds only the prefix index over the carried rows — the path taken
-    /// when the same level is consumed at a different overlap width (e.g. a
-    /// concat followed by merges to several targets).
-    fn reindex(&mut self, prefix_len: usize) {
-        self.index.build(&self.occs, prefix_len);
+        self.index.build(&self.occs);
     }
 }
 
 /// One finalized level of the Stage-I doubling ladder, carried between
 /// joins: the level's patterns plus lazily-materialized join arenas (the
 /// directed occurrence rows, their `(pattern, direction)` sources, and the
-/// owned prefix index the next join probes).
+/// owned head index every join of the level probes).
 ///
 /// Carrying the level means `l → 2l` pays one pass + one scatter over the
 /// finalized rows instead of a from-scratch posting rebuild per join, and a
@@ -180,18 +175,18 @@ impl LadderLevel {
     }
 
     /// Builds a level over `patterns` with its join arenas materialized
-    /// eagerly at the given index prefix length.
-    pub fn from_patterns(patterns: Vec<PathPattern>, prefix_len: usize) -> Self {
+    /// eagerly.
+    pub fn from_patterns(patterns: Vec<PathPattern>) -> Self {
         let mut level = LadderLevel::lazy(patterns);
-        level.ensure_prefix(prefix_len);
+        level.ensure_arenas();
         level
     }
 
     /// Replaces the level's patterns and rebuilds the join arenas in place;
     /// a warm rebuild of the same shape performs zero allocations.
-    pub fn rebuild(&mut self, patterns: Vec<PathPattern>, prefix_len: usize) {
+    pub fn rebuild(&mut self, patterns: Vec<PathPattern>) {
         self.patterns = patterns;
-        self.arenas.rebuild(&self.patterns, prefix_len);
+        self.arenas.rebuild(&self.patterns);
         self.arenas_built = true;
     }
 
@@ -200,16 +195,12 @@ impl LadderLevel {
         &self.patterns
     }
 
-    /// Ensures the arenas exist and the carried index groups by
-    /// `prefix_len` vertices: a full single-pass build when the arenas were
-    /// never materialized, an index-only rebuild over the carried rows when
-    /// only the prefix width changed, nothing when already correct.
-    fn ensure_prefix(&mut self, prefix_len: usize) {
+    /// Builds the arenas on first use; every later join at any overlap
+    /// width probes the same ones.
+    fn ensure_arenas(&mut self) {
         if !self.arenas_built {
-            self.arenas.rebuild(&self.patterns, prefix_len);
+            self.arenas.rebuild(&self.patterns);
             self.arenas_built = true;
-        } else if self.arenas.index.prefix_len() != prefix_len {
-            self.arenas.reindex(prefix_len);
         }
     }
 }
@@ -454,9 +445,11 @@ impl<'a> DiamMine<'a> {
     /// end vertex (`CheckConcat` of Algorithm 2); below it the occurrences
     /// overlap in a suffix/prefix (`CheckMergeHead` / `CheckMergeTail`).
     ///
-    /// The join probes a [`PrefixIndex`] over `(transaction, overlap
-    /// prefix)` with the lookup key borrowed straight from the probing row's
-    /// suffix, per-row disjointness is an epoch-marked probe, products are
+    /// The join probes a [`PrefixIndex`] over `(transaction, head vertex)`
+    /// at the first vertex of the probing row's `k`-suffix and skips the
+    /// partners whose next `k − 1` vertices differ from the suffix's, so it
+    /// visits exactly the `(transaction, k-prefix)` group in global row
+    /// order.  Per-row disjointness is an epoch-marked probe, products are
     /// routed to their pattern slot by the pattern-pair memo (graph-free),
     /// and the σ-filter runs the pruned evaluator — a rejected row pair
     /// touches no allocator.
@@ -467,13 +460,12 @@ impl<'a> DiamMine<'a> {
         let n = base[0].len();
         assert!(target > n && target <= 2 * n, "join target must satisfy n < target <= 2n");
         let mut arenas = LevelArenas::default();
-        arenas.rebuild(base, 2 * n - target + 1);
+        arenas.rebuild(base);
         self.merge_join(base, &arenas, target, &mut MiningStats::default())
     }
 
-    /// The ladder join over a level's carried arenas (index prefix =
-    /// overlap width): probe, disjointness check, gather, memo intern,
-    /// pruned σ-filter.
+    /// The ladder join over a level's carried arenas: head probe, overlap
+    /// filter, disjointness check, gather, memo intern, pruned σ-filter.
     fn merge_join(
         &self,
         patterns: &[PathPattern],
@@ -482,7 +474,6 @@ impl<'a> DiamMine<'a> {
         stats: &mut MiningStats,
     ) -> Vec<PathPattern> {
         let overlap = 2 * patterns[0].len() - target + 1;
-        debug_assert_eq!(arenas.index.prefix_len(), overlap);
         let (occs, source, index) = (&arenas.occs, &arenas.source, &arenas.index);
         let (table, phases) = self.join_occurrences(occs.len(), |range, table, scratch| {
             let wall = Instant::now();
@@ -493,7 +484,8 @@ impl<'a> DiamMine<'a> {
             for i in range {
                 let a = occs.row(i);
                 let t = occs.transaction(i);
-                let postings = index.postings(occs, t, &a[a.len() - overlap..]);
+                let j = a.len() - overlap;
+                let postings = index.postings(t, a[j]);
                 bump(&mut last, &mut tk.probe);
                 for &bi in postings {
                     let bi = bi as usize;
@@ -507,9 +499,14 @@ impl<'a> DiamMine<'a> {
                     if (bi ^ 1, i ^ 1) < (i, bi) {
                         continue;
                     }
+                    // the head list holds every row starting at a[j]; only
+                    // those continuing with the rest of a's suffix overlap
+                    let b = occs.row(bi);
+                    if b[1..overlap] != a[j + 1..] {
+                        continue;
+                    }
                     // both rows are simple, so the product is simple exactly
                     // when b's remainder avoids a: check before gathering
-                    let b = occs.row(bi);
                     let simple = disjoint_except_shared_marked(a, b, overlap, &mut scratch.marks);
                     bump(&mut last, &mut tk.probe);
                     if !simple {
@@ -708,10 +705,9 @@ impl<'a> DiamMine<'a> {
     }
 
     /// One ladder step: joins the nonempty `level` into paths of length
-    /// `target`, first grouping its carried index by the overlap width (a
-    /// full arena build when the level was never joined, an index-only
-    /// re-scatter when it was last probed at another width).  That
-    /// preparation is timed as interning.
+    /// `target`, first building its carried arenas when the level was never
+    /// joined (every later join of the level, at any overlap width, reuses
+    /// them).  That preparation is timed as interning.
     fn join_level(
         &self,
         level: &mut LadderLevel,
@@ -719,7 +715,7 @@ impl<'a> DiamMine<'a> {
         stats: &mut MiningStats,
     ) -> Vec<PathPattern> {
         let wall = Instant::now();
-        level.ensure_prefix(2 * level.patterns[0].len() - target + 1);
+        level.ensure_arenas();
         stats.join_phases.intern += wall.elapsed();
         self.merge_join(&level.patterns, &level.arenas, target, stats)
     }
@@ -806,7 +802,7 @@ impl<'a> DiamMine<'a> {
     ///
     /// Every `C_{2l+1}` occurrence splits at its minimum vertex `v` into two
     /// `l`-arcs that start at `v`, share no other vertex, and whose far ends
-    /// are joined by the closing data edge.  The kernel builds the prefix-1
+    /// are joined by the closing data edge.  The kernel builds the head
     /// index over `(transaction, head)` of both orientations of every
     /// `l`-path occurrence, keeps only the directed rows whose head is the
     /// row's minimum vertex, and pairs rows `i < j` of the same posting
@@ -827,7 +823,7 @@ impl<'a> DiamMine<'a> {
         }
         debug_assert!(paths_l.iter().all(|p| p.len() == l), "cycle arcs need paths of length l");
         let mut arenas = LevelArenas::default();
-        arenas.rebuild(paths_l, 1);
+        arenas.rebuild(paths_l);
         let (occs, index) = (&arenas.occs, &arenas.index);
         // a directed row can be an arc only when its head is its minimum
         let apex_row = |i: usize| {
@@ -843,7 +839,7 @@ impl<'a> DiamMine<'a> {
                 let a = occs.row(i);
                 let t = occs.transaction(i);
                 let view = self.graph(t);
-                let postings = index.postings(occs, t, &a[..1]);
+                let postings = index.postings(t, a[0]);
                 // posting lists keep global row order: only partners after i
                 let later = &postings[postings.partition_point(|&j| j as usize <= i)..];
                 for &j in later {
@@ -884,8 +880,8 @@ impl<'a> DiamMine<'a> {
     /// [`DiamMine::mine_range`] recording join phase timings and pruning
     /// counters into `stats`.  One carried doubling ladder is shared across
     /// the whole length sweep, so consecutive lengths under the same
-    /// power-of-two level pay only their merge join (plus an index-only
-    /// re-prefix), never a ladder rebuild.
+    /// power-of-two level pay only their merge join over the level's carried
+    /// arenas, never a ladder rebuild or an index rebuild.
     pub fn mine_range_with_stats(
         &self,
         lo: usize,
@@ -1207,33 +1203,55 @@ mod tests {
         assert!(m.mine_range(0, None).is_empty());
     }
 
+    /// Asserts two mined levels are byte-identical, pattern by pattern.
+    fn assert_same_level(indexed: &[PathPattern], reference: &[PathPattern], what: &str) {
+        assert_eq!(indexed.len(), reference.len(), "{what}: pattern count");
+        for (a, b) in indexed.iter().zip(reference) {
+            assert_eq!(a.key, b.key, "{what}: keys");
+            assert_eq!(a.embeddings, b.embeddings, "{what}: occurrence stores must be byte-identical");
+        }
+    }
+
     #[test]
     fn indexed_joins_match_reference_joins_byte_identically() {
-        // a 6-cycle plus the two-copy fixture: palindromic patterns,
-        // branching and merges all in play
+        let star =
+            LabeledGraph::from_unlabeled_edges(&[l(0), l(1), l(1), l(1)], [(0, 1), (0, 2), (0, 3)]).unwrap();
+        // a one-label spider with three legs of length 2: the head list of
+        // the centre holds rows whose second vertices differ, so every merge
+        // at overlap >= 2 must reject partners through the overlap filter
+        let spider =
+            LabeledGraph::from_unlabeled_edges(&[l(0); 7], [(0, 1), (1, 4), (0, 2), (2, 5), (0, 3), (3, 6)])
+                .unwrap();
+        // a 6-cycle plus the two-copy fixture: palindromic patterns and
+        // merges at every overlap in play
         for g in [
             two_path_copies(),
             LabeledGraph::from_unlabeled_edges(&[l(0); 6], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
                 .unwrap(),
+            star,
+            spider,
         ] {
             let m = miner(&g, 1);
             let len1 = m.frequent_edges();
             let len2 = m.merge_to_length(&len1, 2);
             let len2_ref = m.concat_double_reference(&len1);
-            assert_eq!(len2.len(), len2_ref.len());
-            for (a, b) in len2.iter().zip(&len2_ref) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.embeddings, b.embeddings, "concat occurrence stores must be byte-identical");
-            }
+            assert_same_level(&len2, &len2_ref, "concat 1 -> 2");
             if len2.is_empty() {
                 continue;
             }
+            // overlap 2
             let len3 = m.merge_to_length(&len2, 3);
-            let len3_ref = m.merge_to_length_reference(&len2_ref, 3);
-            assert_eq!(len3.len(), len3_ref.len());
-            for (a, b) in len3.iter().zip(&len3_ref) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.embeddings, b.embeddings, "merge occurrence stores must be byte-identical");
+            assert_same_level(&len3, &m.merge_to_length_reference(&len2_ref, 3), "merge 2 -> 3");
+            let len4 = m.merge_to_length(&len2, 4);
+            assert_same_level(&len4, &m.concat_double_reference(&len2_ref), "concat 2 -> 4");
+            if len4.is_empty() {
+                continue;
+            }
+            // overlaps 4, 3 and 2 over one level
+            for target in 5..8 {
+                let merged = m.merge_to_length(&len4, target);
+                let reference = m.merge_to_length_reference(&len4, target);
+                assert_same_level(&merged, &reference, &format!("merge 4 -> {target}"));
             }
         }
     }

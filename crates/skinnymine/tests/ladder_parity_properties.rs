@@ -4,7 +4,7 @@
 //!   the same order with the same embedding rows at every thread count —
 //!   the chunk-order merge of the parallel joins must reproduce the serial
 //!   iteration exactly;
-//! * the **current kernels** (level-carried prefix index + pattern-pair
+//! * the **current kernels** (level-carried head index + pattern-pair
 //!   memo + mirror pruning + σ-pruned finalize) must agree with the
 //!   retained reference hash-map joins level by level;
 //! * a **carried ladder** (`mine_range`, one arena set reused across the

@@ -140,16 +140,16 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // ---- Stage I ladder level: warm arena rebuild is allocation-free ----
     // the level-carried join index's steady state (same level shape, fresh
     // patterns — as on every incremental refresh of a maintained ladder):
-    // once the directed-row arena, source column and prefix index have seen
+    // once the directed-row arena, source column and head index have seen
     // the shape, a rebuild must not touch the heap
-    let mut level = LadderLevel::from_patterns(len2.clone(), 1);
+    let mut level = LadderLevel::from_patterns(len2.clone());
     let next_patterns = len2.clone(); // the handoff itself is a move
-    let (level_allocs, ()) = counted(|| level.rebuild(next_patterns, 1));
+    let (level_allocs, ()) = counted(|| level.rebuild(next_patterns));
     assert_eq!(level.patterns().len(), 1);
     assert_eq!(
         level_allocs, 0,
         "warm ladder-level rebuild allocated {level_allocs} times for {scanned_rows} directed \
-         rows — arena, source column and prefix index must all be reused"
+         rows — arena, source column and head index must all be reused"
     );
 
     // ---- Stage I σ-pruned support: warm evaluation is allocation-free ---
