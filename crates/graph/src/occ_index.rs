@@ -156,6 +156,10 @@ impl GroupSorter {
     /// item indices through per-group cursors.  All buffers are sized up
     /// front — the inner loops perform no `Vec` growth and no bounds-checked
     /// pushes.
+    ///
+    /// # Panics
+    /// Panics when there are more items than `u32` item ids, or when a group
+    /// id is `>= ngroups`.
     pub fn group_into(
         &mut self,
         group_of_item: &[u32],
@@ -163,15 +167,16 @@ impl GroupSorter {
         offsets: &mut Vec<u32>,
         order: &mut Vec<u32>,
     ) {
+        let items = u32::try_from(group_of_item.len()).expect("item count overflows the u32 item ids");
         order.resize(group_of_item.len(), 0);
         self.histogram(group_of_item, ngroups, offsets);
-        for (i, &g) in group_of_item.iter().enumerate() {
+        for (&g, i) in group_of_item.iter().zip(0..items) {
             // SAFETY: `histogram` panicked unless every `g < ngroups`, the
             // cursor for group `g` stays below `offsets[g + 1] <= len`, and
             // `order` was resized to `len` above.
             unsafe {
                 let cursor = self.counts.get_unchecked_mut(g as usize);
-                *order.get_unchecked_mut(*cursor as usize) = i as u32;
+                *order.get_unchecked_mut(*cursor as usize) = i;
                 *cursor += 1;
             }
         }

@@ -32,8 +32,7 @@
 //! closes mined `2l`-paths instead (see [`crate::cycle`] for when each runs).
 //!
 //! Every ladder level is produced by one join, [`DiamMine::merge_to_length`]
-//! at its overlap, running on three raw-speed kernels (mirroring the grow
-//! engine's):
+//! at its overlap, running on three kernels:
 //!
 //! * **level-carried arenas** — each finalized level is wrapped in a
 //!   [`LadderLevel`] whose directed-occurrence store, `(pattern, direction)`
@@ -48,11 +47,21 @@
 //!   assembly (graph-free, straight from the parents' keys),
 //!   canonicalization and the interning hash, every later product is routed
 //!   by one probe of an epoch-stamped memo;
-//! * a **σ-pruned finalize** — a product pattern with fewer raw rows than σ
-//!   is rejected before its occurrence dedup is even attempted (support is
-//!   bounded by the row count under every measure), and survivors are
-//!   filtered by [`OccurrenceStore::support_pruned`], exact whenever the
-//!   result reaches σ.
+//! * **count, then gather** — Algorithm 2 joins at the occurrence level and
+//!   only then checks support; here the probe pass gathers no row.  It
+//!   routes each valid product to its pattern slot, raises that slot's σ
+//!   bound and records the product as `(row, partner, route)`.  The bound
+//!   counts rows, or under [`SupportMeasure::Transactions`] one per run of a
+//!   slot's products in one transaction.  The gather pass then materializes
+//!   only the products of slots whose bound reaches σ, and the σ-filter
+//!   measures those with [`OccurrenceStore::support_pruned`].  Skipping a slot is sound because
+//!   a slot's bound is never smaller than its support: each product becomes
+//!   exactly one stored row, support never exceeds the row count under any
+//!   measure, a transaction's products count at least once wherever they
+//!   land, and summing per-chunk bounds can only overcount a transaction
+//!   that a chunk boundary splits.  On the 1 → 2 join of a large
+//!   transaction corpus almost every slot dies this way, so almost no row
+//!   is ever gathered.
 //!
 //! All three preserve the sequential emission order exactly, so mined output
 //! stays byte-identical to the retained reference kernels
@@ -138,7 +147,7 @@ impl LevelArenas {
         self.source.clear();
         self.source.reserve(2 * rows);
         for (pi, p) in patterns.iter().enumerate() {
-            let src = (pi as u32) << 1;
+            let src = u32::try_from(pi << 1).expect("pattern index overflows the u32 row source");
             for occ in p.embeddings.iter() {
                 self.occs.push_row(occ.transaction, occ.vertices);
                 self.source.push(src);
@@ -212,7 +221,6 @@ impl LadderLevel {
 #[derive(Debug, Default, Clone, Copy)]
 struct JoinTicks {
     probe: u64,
-    gather: u64,
     intern: u64,
 }
 
@@ -223,7 +231,6 @@ impl JoinTicks {
         let per = wall.as_secs_f64() / ticks.max(1) as f64;
         let d = |t: u64| Duration::from_secs_f64(t as f64 * per);
         phases.probe += d(self.probe);
-        phases.gather += d(self.gather);
         phases.intern += d(self.intern);
     }
 }
@@ -259,79 +266,65 @@ fn push_directed_labels(
     }
 }
 
-/// Routes the assembled product row in `scratch.row` to its pattern slot via
-/// the pattern-pair memo: a directed row's labels are fully determined by
-/// its packed source, so all products of the source pair `(src_a, src_b)`
-/// share one `(slot, orientation)`.  Only the first product assembles the
-/// directed labels (from the parents' keys — no graph lookups),
-/// canonicalizes them and pays the interning hash; later products are one
-/// memo probe plus the row append.
+/// One valid join product recorded by the probe pass: the probing row, its
+/// partner row and the product's packed chunk-local route
+/// `(slot << 1) | reversed` from the pattern-pair memo.
+#[derive(Debug, Clone, Copy)]
+struct Product {
+    row: u32,
+    partner: u32,
+    route: u32,
+}
+
+/// What the probe pass hands the fold for one chunk of probing rows: the
+/// product pattern keys in first-product order (their stores stay empty),
+/// each slot's σ bound, the recorded products in loop order and the
+/// chunk's phase breakdown.
+#[derive(Debug, Default)]
+struct ProbedChunk {
+    keys: PatternTable,
+    bound: Vec<usize>,
+    products: Vec<Product>,
+    phases: JoinPhaseStats,
+}
+
+/// Interns the product pattern of the source pair `(src_a, src_b)` into its
+/// chunk-local slot of `keys` and returns the packed route
+/// `(slot << 1) | reversed` — the miss path of the pattern-pair memo.  A
+/// directed row's labels are fully determined by its packed source, so all
+/// products of one source pair share one route: only the first product
+/// assembles the directed labels (from the parents' keys — no graph
+/// lookups), canonicalizes them and pays the interning hash; later products
+/// are one memo probe.
 ///
 /// A stored row's labels equal its pattern's canonical key read in the
-/// row's direction (palindromic keys read the same both ways), so the memo
-/// value is exactly what per-product `key_of_occurrence` + `slot_for`
-/// would have produced — emission order is unchanged.
-#[inline]
-#[allow(clippy::too_many_arguments)] // a free fn on the join hot path; the args are the join row
-fn intern_product(
+/// row's direction (palindromic keys read the same both ways), so the route
+/// is exactly what per-product `key_of_occurrence` + `slot_for` would have
+/// produced.
+fn route_pair(
     patterns: &[PathPattern],
-    table: &mut PatternTable,
+    keys: &mut PatternTable,
     scratch: &mut JoinScratch,
-    t: usize,
-    src_a: u32,
-    src_b: u32,
+    (src_a, src_b): (u32, u32),
     skip_v: usize,
     skip_e: usize,
-) {
-    let memo_key = ((src_a as u64) << 32) | src_b as u64;
-    let packed = match scratch.pair_memo.get(memo_key) {
-        Some(p) => p,
-        None => {
-            scratch.vertex_labels.clear();
-            scratch.edge_labels.clear();
-            let a = &patterns[(src_a >> 1) as usize].key;
-            let b = &patterns[(src_b >> 1) as usize].key;
-            push_directed_labels(
-                a,
-                src_a & 1 == 1,
-                0,
-                0,
-                &mut scratch.vertex_labels,
-                &mut scratch.edge_labels,
-            );
-            push_directed_labels(
-                b,
-                src_b & 1 == 1,
-                skip_v,
-                skip_e,
-                &mut scratch.vertex_labels,
-                &mut scratch.edge_labels,
-            );
-            let reversed =
-                PathPattern::canonicalize_labels(&mut scratch.vertex_labels, &mut scratch.edge_labels);
-            // the palindromic bit rides in the memo so the per-row store
-            // below never re-derives it from the key's label vectors
-            let palindromic = scratch.vertex_labels.iter().rev().eq(scratch.vertex_labels.iter())
-                && scratch.edge_labels.iter().rev().eq(scratch.edge_labels.iter());
-            let slot = table.slot_index_for(&scratch.vertex_labels, &scratch.edge_labels);
-            let packed = (slot << 2) | ((palindromic as u32) << 1) | reversed as u32;
-            scratch.pair_memo.insert(memo_key, packed);
-            packed
-        }
-    };
-    let embeddings = &mut table.slot_mut(packed >> 2).embeddings;
-    let flip = if packed & 2 != 0 {
-        // palindromic pattern: both orientations match the key, pick the
-        // id-smaller one so each undirected occurrence is stored once
-        scratch.row.iter().rev().lt(scratch.row.iter())
-    } else {
-        packed & 1 == 1
-    };
-    if flip {
-        embeddings.push_row_reversed(t, &scratch.row);
-    } else {
-        embeddings.push_row(t, &scratch.row);
-    }
+) -> u32 {
+    scratch.vertex_labels.clear();
+    scratch.edge_labels.clear();
+    let a = &patterns[(src_a >> 1) as usize].key;
+    let b = &patterns[(src_b >> 1) as usize].key;
+    push_directed_labels(a, src_a & 1 == 1, 0, 0, &mut scratch.vertex_labels, &mut scratch.edge_labels);
+    push_directed_labels(
+        b,
+        src_b & 1 == 1,
+        skip_v,
+        skip_e,
+        &mut scratch.vertex_labels,
+        &mut scratch.edge_labels,
+    );
+    let reversed = PathPattern::canonicalize_labels(&mut scratch.vertex_labels, &mut scratch.edge_labels);
+    let slot = keys.slot_index_for(&scratch.vertex_labels, &scratch.edge_labels);
+    slot.checked_mul(2).expect("pattern slot index overflows the packed u32 route") | reversed as u32
 }
 
 impl<'a> DiamMine<'a> {
@@ -451,8 +444,9 @@ impl<'a> DiamMine<'a> {
     /// visits exactly the `(transaction, k-prefix)` group in global row
     /// order.  Per-row disjointness is an epoch-marked probe, products are
     /// routed to their pattern slot by the pattern-pair memo (graph-free),
-    /// and the σ-filter runs the pruned evaluator — a rejected row pair
-    /// touches no allocator.
+    /// only products of slots whose σ bound reaches σ are gathered, and the
+    /// σ-filter runs the pruned evaluator — a rejected row pair touches no
+    /// allocator.
     pub fn merge_to_length(&self, base: &[PathPattern], target: usize) -> Vec<PathPattern> {
         if base.is_empty() {
             return Vec::new();
@@ -464,8 +458,21 @@ impl<'a> DiamMine<'a> {
         self.merge_join(base, &arenas, target, &mut MiningStats::default())
     }
 
-    /// The ladder join over a level's carried arenas: head probe, overlap
-    /// filter, disjointness check, gather, memo intern, pruned σ-filter.
+    /// The ladder join over a level's carried arenas: count, then gather.
+    ///
+    /// **Count.** The probe pass (sharded over the probing rows) runs the
+    /// head probe, the mirror rule, the overlap filter and the disjointness
+    /// check, routes each valid product to its chunk-local slot through the
+    /// pattern-pair memo, bumps that slot's σ bound and records the product
+    /// as `(row, partner, route)`; it gathers no row.  The chunk tables then
+    /// fold, in chunk order, into one keyed table whose bounds are the chunk
+    /// bounds summed; each chunk table is dropped once it is mapped.
+    ///
+    /// **Gather.** One sequential walk over the recorded products, in chunk
+    /// order and then product order — exactly the sequential loop's row
+    /// order — skips every product whose slot bound is below σ and gathers
+    /// the others into their slot's store in canonical orientation.  The
+    /// live slots then go through [`DiamMine::finalize`].
     fn merge_join(
         &self,
         patterns: &[PathPattern],
@@ -475,20 +482,27 @@ impl<'a> DiamMine<'a> {
     ) -> Vec<PathPattern> {
         let overlap = 2 * patterns[0].len() - target + 1;
         let (occs, source, index) = (&arenas.occs, &arenas.source, &arenas.index);
-        let (table, phases) = self.join_occurrences(occs.len(), |range, table, scratch| {
+        let count_transactions = matches!(self.support, SupportMeasure::Transactions);
+        let chunks = self.shard_rows(occs.len(), |range, scratch| {
             let wall = Instant::now();
             let t0 = phase_ticks();
+            // memoized routes index this chunk's own slot table
             scratch.pair_memo.reset();
+            let mut chunk = ProbedChunk::default();
+            // the transaction of each slot's last counted product
+            let mut last_txn: Vec<usize> = Vec::new();
+            // Ticks are read only around memo misses and at the chunk end,
+            // never per partner or per product: one tick read costs about
+            // as much as a memo hit plus the product record.
             let mut tk = JoinTicks::default();
             let mut last = t0;
             for i in range {
+                let row = u32::try_from(i).expect("directed row id overflows the u32 product record");
                 let a = occs.row(i);
                 let t = occs.transaction(i);
                 let j = a.len() - overlap;
-                let postings = index.postings(t, a[j]);
-                bump(&mut last, &mut tk.probe);
-                for &bi in postings {
-                    let bi = bi as usize;
+                for &partner in index.postings(t, a[j]) {
+                    let bi = partner as usize;
                     // Mirror pruning: the directed row set is closed under
                     // reversal with partner row `k ^ 1`, so the product of
                     // (i, bi) is rediscovered — reversed — as (bi^1, i^1) and
@@ -506,26 +520,96 @@ impl<'a> DiamMine<'a> {
                         continue;
                     }
                     // both rows are simple, so the product is simple exactly
-                    // when b's remainder avoids a: check before gathering
-                    let simple = disjoint_except_shared_marked(a, b, overlap, &mut scratch.marks);
-                    bump(&mut last, &mut tk.probe);
-                    if !simple {
+                    // when b's remainder avoids a
+                    if !disjoint_except_shared_marked(a, b, overlap, &mut scratch.marks) {
                         continue;
                     }
-                    scratch.row.clear();
-                    scratch.row.extend_from_slice(a);
-                    scratch.row.extend_from_slice(&b[overlap..]);
-                    bump(&mut last, &mut tk.gather);
-                    intern_product(patterns, table, scratch, t, source[i], source[bi], overlap, overlap - 1);
-                    bump(&mut last, &mut tk.intern);
+                    let pair = (source[i], source[bi]);
+                    let memo_key = ((pair.0 as u64) << 32) | pair.1 as u64;
+                    let route = match scratch.pair_memo.get(memo_key) {
+                        Some(route) => route,
+                        None => {
+                            bump(&mut last, &mut tk.probe);
+                            let route =
+                                route_pair(patterns, &mut chunk.keys, scratch, pair, overlap, overlap - 1);
+                            scratch.pair_memo.insert(memo_key, route);
+                            bump(&mut last, &mut tk.intern);
+                            route
+                        }
+                    };
+                    let slot = (route >> 1) as usize;
+                    if slot == chunk.bound.len() {
+                        chunk.bound.push(0);
+                        last_txn.push(usize::MAX);
+                    }
+                    // Each product becomes one stored row, so the row count
+                    // bounds every measure; under `Transactions` a slot
+                    // counts a transaction once per run of its products,
+                    // which is never fewer than its distinct transactions.
+                    if !count_transactions || last_txn[slot] != t {
+                        chunk.bound[slot] += 1;
+                        last_txn[slot] = t;
+                    }
+                    chunk.products.push(Product { row, partner, route });
                 }
             }
-            let mut phases = JoinPhaseStats::default();
-            tk.settle(&mut phases, wall.elapsed(), phase_ticks().wrapping_sub(t0));
-            phases
+            bump(&mut last, &mut tk.probe);
+            tk.settle(&mut chunk.phases, wall.elapsed(), phase_ticks().wrapping_sub(t0));
+            chunk
         });
-        stats.join_phases.merge(&phases);
-        self.finalize(table.into_patterns(), stats, false)
+
+        // fold the chunk slot tables, in chunk order, into one
+        let wall = Instant::now();
+        let mut keys = PatternTable::new();
+        let mut bound: Vec<usize> = Vec::new();
+        let mut routed = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            stats.join_phases.merge(&chunk.phases);
+            let to_global: Vec<u32> = chunk
+                .keys
+                .into_patterns()
+                .into_iter()
+                .zip(&chunk.bound)
+                .map(|(p, &b)| {
+                    let g = keys.absorb(p);
+                    if g as usize == bound.len() {
+                        bound.push(0);
+                    }
+                    // a transaction split across chunks counts once per
+                    // chunk: the sum can only overcount
+                    bound[g as usize] += b;
+                    g
+                })
+                .collect();
+            routed.push((to_global, chunk.products));
+        }
+        stats.join_phases.intern += wall.elapsed();
+
+        // gather the live products in chunk order, then product order
+        let wall = Instant::now();
+        let mut skipped = 0u64;
+        let mut row = Vec::new();
+        for (to_global, products) in routed {
+            for p in products {
+                let g = to_global[(p.route >> 1) as usize];
+                if bound[g as usize] < self.sigma {
+                    skipped += 1;
+                    continue;
+                }
+                let (i, bi) = (p.row as usize, p.partner as usize);
+                row.clear();
+                row.extend_from_slice(occs.row(i));
+                row.extend_from_slice(&occs.row(bi)[overlap..]);
+                keys.slot_mut(g).add_occurrence_slice(occs.transaction(i), &row, p.route & 1 == 1);
+            }
+        }
+        let mut live = keys.into_patterns();
+        let mut bounds = bound.iter();
+        live.retain(|_| bounds.next().is_some_and(|&b| b >= self.sigma));
+        stats.join_rows_pruned += skipped;
+        stats.join_products_rejected_sigma += (bound.len() - live.len()) as u64;
+        stats.join_phases.gather += wall.elapsed();
+        self.finalize(live, stats, false)
     }
 
     /// Reference (pre-engine) implementation of [`DiamMine::merge_to_length`]
@@ -604,37 +688,6 @@ impl<'a> DiamMine<'a> {
             }
         }
         self.finalize_exact(by_key.into_values().collect())
-    }
-
-    /// Runs the per-chunk join body over all `rows` directed rows,
-    /// sequentially with one accumulator table when `threads == 1`, or on
-    /// the work-stealing pool over contiguous row chunks otherwise (the
-    /// sharded ladder level: each chunk of the base rows accumulates its own
-    /// [`PatternTable`] plus phase breakdown).  The body resets the
-    /// pattern-pair memo per chunk because memoized slot indices are local to
-    /// the chunk's table.
-    ///
-    /// The per-chunk partial tables are merged **in chunk order**, so every
-    /// pattern's occurrence list ends up in the exact order the sequential
-    /// loop would have produced — Stage I is deterministic for any thread
-    /// count.  The per-chunk phase breakdowns are summed in chunk order too
-    /// (summed CPU time across workers, the [`JoinPhaseStats`] convention).
-    fn join_occurrences<F>(&self, rows: usize, body: F) -> (PatternTable, JoinPhaseStats)
-    where
-        F: Fn(std::ops::Range<usize>, &mut PatternTable, &mut JoinScratch) -> JoinPhaseStats + Sync,
-    {
-        let partials = self.shard_rows(rows, |range, scratch| {
-            let mut local = PatternTable::new();
-            let phases = body(range, &mut local, scratch);
-            (local, phases)
-        });
-        let mut merged = PatternTable::new();
-        let mut phases = JoinPhaseStats::default();
-        for (partial, chunk_phases) in partials {
-            merged.merge(partial);
-            phases.merge(&chunk_phases);
-        }
-        (merged, phases)
     }
 
     /// Runs `body` over all `rows` probing rows and returns the per-chunk
@@ -1016,7 +1069,7 @@ fn all_distinct(vs: &[VertexId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skinny_graph::{Label, LabeledGraph};
+    use skinny_graph::{GraphDatabase, Label, LabeledGraph};
 
     fn l(x: u32) -> Label {
         Label(x)
@@ -1256,9 +1309,86 @@ mod tests {
         }
     }
 
+    /// `txns` transactions, each a star — centre 0 (label 0), leaves 1–4
+    /// (label 1), each leaf `k` with a label-4 pendant `k + 4` — plus a
+    /// label-2 vertex 9 and a label-3 vertex 10.  Vertex 9 hangs on the
+    /// centre in the transactions of `on_centre_2` and on a lone label-0
+    /// vertex 11 elsewhere; vertex 10 likewise with `on_centre_3` and vertex
+    /// 12.  Every transaction thus holds the same four level-1 patterns with
+    /// the same occurrence counts, so in the level-1 arena the 8 directed
+    /// (0, 1) rows of transaction `t` are rows `8t..8t + 8`, and the
+    /// products of the (1, 0, 2) and (1, 0, 3) slots are probed from its odd
+    /// (reversed) rows.
+    fn straddle_database(txns: usize, on_centre_2: &[usize], on_centre_3: &[usize]) -> GraphDatabase {
+        let labels = [0, 1, 1, 1, 1, 4, 4, 4, 4, 2, 3, 0, 0].map(l);
+        GraphDatabase::from_graphs(
+            (0..txns)
+                .map(|t| {
+                    let mut edges = vec![(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 8)];
+                    edges.push((if on_centre_2.contains(&t) { 0 } else { 11 }, 9));
+                    edges.push((if on_centre_3.contains(&t) { 0 } else { 12 }, 10));
+                    LabeledGraph::from_unlabeled_edges(&labels, edges).unwrap()
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn multi_chunk_joins_match_single_chunk_and_reference() {
+        const TXNS: usize = 250;
+        const SIGMA: usize = 4;
+        // level-1 directed rows per transaction: 8 of (0,1), 2 of (0,2),
+        // 2 of (0,3) and 8 of (1,4)
+        let rows = 20 * TXNS;
+        assert!(rows >= 4096, "the level-1 join must shard into chunks");
+        // transactions whose probing rows 8t+1 .. 8t+7 a chunk start cuts
+        // apart at 8 threads (`shard_rows` makes 4 chunks per thread)
+        let straddlers: Vec<usize> = skinny_pool::chunk_ranges(rows, 8, 4)
+            .iter()
+            .map(|r| r.start)
+            .filter(|&b| b < 8 * TXNS && (2..8).contains(&(b % 8)))
+            .map(|b| b / 8)
+            .collect();
+        assert!(straddlers.len() >= 7, "{straddlers:?}");
+        // (1,0,2) in σ − 1 transactions and (1,0,3) in σ, every one of
+        // them split across two chunks at 8 threads
+        let db = straddle_database(TXNS, &straddlers[..3], &straddlers[3..7]);
+        let data = MiningData::Transactions(&db);
+        let at = |threads: usize| {
+            DiamMine::new(data.clone(), SIGMA, SupportMeasure::Transactions).with_threads(threads)
+        };
+
+        let serial = at(1).mine_range(1, Some(4));
+        assert_eq!(serial.keys().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        for threads in [2, 8] {
+            let sharded = at(threads).mine_range(1, Some(4));
+            assert_eq!(sharded.len(), serial.len());
+            for (len, level) in &serial {
+                assert_same_level(&sharded[len], level, &format!("length {len} at {threads} threads"));
+            }
+        }
+        let m = at(8);
+        let len2_ref = m.concat_double_reference(&serial[&1]);
+        assert_same_level(&serial[&2], &len2_ref, "concat 1 -> 2");
+        assert_same_level(&serial[&3], &m.merge_to_length_reference(&len2_ref, 3), "merge 2 -> 3");
+        assert_same_level(&serial[&4], &m.concat_double_reference(&len2_ref), "concat 2 -> 4");
+        let with = |label: u32| serial[&2].iter().filter(|p| p.key.vertex_labels.contains(&l(label))).count();
+        assert_eq!((with(2), with(3)), (0, 1), "support σ − 1 is rejected, support σ is kept");
+
+        // one chunk bounds (1,0,2) at its true support and never gathers
+        // its 3 × 4 products; 32 chunks count each of its transactions
+        // twice, so it is gathered and the support check rejects it
+        let stats_at = |threads: usize| {
+            let mut stats = MiningStats::default();
+            at(threads).mine_exact_many_with_stats(&[2], &mut stats);
+            (stats.join_rows_pruned, stats.join_products_rejected_sigma)
+        };
+        assert_eq!(stats_at(1), (12, 1));
+        assert_eq!(stats_at(8), (0, 1));
+    }
+
     #[test]
     fn transaction_setting_counts_transactions() {
-        use skinny_graph::GraphDatabase;
         let t0 = LabeledGraph::from_unlabeled_edges(&[l(0), l(1), l(2)], [(0, 1), (1, 2)]).unwrap();
         let t1 = t0.clone();
         let t2 = LabeledGraph::from_unlabeled_edges(&[l(0), l(1)], [(0, 1)]).unwrap();

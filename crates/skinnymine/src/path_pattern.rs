@@ -231,23 +231,52 @@ impl PatternTable {
     /// entirely ([`PatternTable::slot_mut`] turns it back into the pattern).
     pub fn slot_index_for(&mut self, vertex_labels: &[Label], edge_labels: &[Label]) -> u32 {
         let h = Self::hash_labels(vertex_labels, edge_labels);
-        let found = self.lookup.get(&h).and_then(|bucket| {
+        match self.find(h, vertex_labels, edge_labels) {
+            Some(i) => i,
+            None => self.push_slot(
+                h,
+                PathPattern::new(PathKey {
+                    vertex_labels: vertex_labels.to_vec(),
+                    edge_labels: edge_labels.to_vec(),
+                }),
+            ),
+        }
+    }
+
+    /// The slot of the key with label hash `h`, if interned.
+    fn find(&self, h: u64, vertex_labels: &[Label], edge_labels: &[Label]) -> Option<u32> {
+        self.lookup.get(&h).and_then(|bucket| {
             bucket.iter().copied().find(|&i| {
                 let key = &self.slots[i as usize].key;
                 key.vertex_labels.as_slice() == vertex_labels && key.edge_labels.as_slice() == edge_labels
             })
-        });
-        match found {
-            Some(i) => i,
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(PathPattern::new(PathKey {
-                    vertex_labels: vertex_labels.to_vec(),
-                    edge_labels: edge_labels.to_vec(),
-                }));
-                self.lookup.entry(h).or_default().push(idx);
-                idx
+        })
+    }
+
+    /// Appends `pattern` as a new slot under label hash `h`.
+    fn push_slot(&mut self, h: u64, pattern: PathPattern) -> u32 {
+        let idx = u32::try_from(self.slots.len()).expect("pattern slot index overflows u32");
+        self.slots.push(pattern);
+        self.lookup.entry(h).or_default().push(idx);
+        idx
+    }
+
+    /// Interns `pattern` by its key and returns its slot index: an unseen
+    /// key moves the whole pattern in as a new slot (no key copy), a known
+    /// key appends the pattern's rows to its slot.
+    pub(crate) fn absorb(&mut self, pattern: PathPattern) -> u32 {
+        let h = Self::hash_labels(&pattern.key.vertex_labels, &pattern.key.edge_labels);
+        match self.find(h, &pattern.key.vertex_labels, &pattern.key.edge_labels) {
+            Some(i) => {
+                let slot = &mut self.slots[i as usize];
+                if slot.embeddings.is_empty() {
+                    *slot = pattern;
+                } else {
+                    slot.embeddings.append(pattern.embeddings);
+                }
+                i
             }
+            None => self.push_slot(h, pattern),
         }
     }
 
@@ -267,12 +296,7 @@ impl PatternTable {
     /// sequential run.
     pub fn merge(&mut self, other: PatternTable) {
         for pattern in other.slots {
-            let slot = self.slot_for(&pattern.key.vertex_labels, &pattern.key.edge_labels);
-            if slot.embeddings.is_empty() {
-                *slot = pattern;
-            } else {
-                slot.embeddings.append(pattern.embeddings);
-            }
+            self.absorb(pattern);
         }
     }
 

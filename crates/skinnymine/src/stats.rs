@@ -81,13 +81,17 @@ impl GrowPhaseStats {
 /// phases.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JoinPhaseStats {
-    /// Looking up posting lists and testing row-pair disjointness.
+    /// The probe pass: looking up posting lists, testing row-pair overlap
+    /// and disjointness, and counting and recording each valid product
+    /// (memo hits included).
     pub probe: Duration,
-    /// Assembling and appending product occurrence rows.
+    /// The gather pass: assembling and appending the product rows of the
+    /// slots whose σ bound reaches σ.
     pub gather: Duration,
-    /// Routing product rows to pattern slots (pattern-pair memo, label
-    /// assembly + canonicalization on memo misses) and building the next
-    /// level's carried occurrence index.
+    /// Routing products to pattern slots on pattern-pair memo misses (label
+    /// assembly, canonicalization, interning), folding the per-chunk slot
+    /// tables into one, and building the next level's carried occurrence
+    /// index.
     pub intern: Duration,
     /// The σ-filter: per-pattern occurrence dedup plus the pruned support
     /// evaluation.
@@ -149,12 +153,14 @@ pub struct MiningStats {
     /// Breakdown of Stage I's ladder joins (summed CPU time across workers;
     /// see [`JoinPhaseStats`]).
     pub join_phases: JoinPhaseStats,
-    /// Product occurrence rows whose σ-filter work (dedup + support) was
-    /// skipped entirely because their pattern's raw row count was already
-    /// below σ.
+    /// Occurrence rows never gathered or never measured because their
+    /// pattern was dead before support: ladder-join products of a slot
+    /// whose σ bound was below σ, and level-1 rows of a pattern with fewer
+    /// rows than σ.
     pub join_rows_pruned: u64,
-    /// Join product patterns rejected by the σ-filter (row-cap fast path and
-    /// pruned support evaluation combined).
+    /// Join product patterns rejected by σ: dead slots of the ladder joins
+    /// plus the patterns the σ-filter's row cap and pruned support
+    /// evaluation rejected.
     pub join_products_rejected_sigma: u64,
     /// Work items executed by the worker pool across all parallel regions
     /// (Stage-II cluster growth; one item per seed).

@@ -5,8 +5,9 @@
 //!   the chunk-order merge of the parallel joins must reproduce the serial
 //!   iteration exactly;
 //! * the **current kernels** (level-carried head index + pattern-pair
-//!   memo + mirror pruning + σ-pruned finalize) must agree with the
-//!   retained reference hash-map joins level by level;
+//!   memo + mirror pruning + count-then-gather σ bound + pruned finalize)
+//!   must agree with the retained reference hash-map joins level by level,
+//!   under both accepted support measures;
 //! * a **carried ladder** (`mine_range`, one arena set reused across the
 //!   length sweep) must agree with fresh per-length `mine_exact` runs.
 
@@ -47,6 +48,13 @@ fn any_database() -> impl Strategy<Value = GraphDatabase> {
     })
 }
 
+/// Strategy: one of the two measures the miner accepts.  `Transactions`
+/// exercises the join's per-transaction σ bound, `MinimumImage` its row
+/// bound.
+fn any_measure() -> impl Strategy<Value = SupportMeasure> {
+    (0..2u8).prop_map(|m| if m == 0 { SupportMeasure::MinimumImage } else { SupportMeasure::Transactions })
+}
+
 /// Full order-sensitive fingerprint of a pattern list: canonical key plus
 /// every embedding row in stored order.
 fn fingerprint(patterns: &[PathPattern]) -> Vec<String> {
@@ -65,13 +73,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sharded_ladder_is_thread_invariant(db in any_database(), sigma in 1..3usize) {
+    fn sharded_ladder_is_thread_invariant(
+        db in any_database(),
+        measure in any_measure(),
+        sigma in 1..=4usize,
+    ) {
         let data = MiningData::Transactions(&db);
-        let baseline = DiamMine::new(data.clone(), sigma, SupportMeasure::MinimumImage)
+        let baseline = DiamMine::new(data.clone(), sigma, measure)
             .with_threads(1)
             .mine_range(1, Some(6));
         for threads in [2usize, 8] {
-            let run = DiamMine::new(data.clone(), sigma, SupportMeasure::MinimumImage)
+            let run = DiamMine::new(data.clone(), sigma, measure)
                 .with_threads(threads)
                 .mine_range(1, Some(6));
             prop_assert_eq!(
@@ -90,9 +102,13 @@ proptest! {
     }
 
     #[test]
-    fn current_kernels_match_reference_joins(db in any_database(), sigma in 1..3usize) {
+    fn current_kernels_match_reference_joins(
+        db in any_database(),
+        measure in any_measure(),
+        sigma in 1..=4usize,
+    ) {
         let data = MiningData::Transactions(&db);
-        let dm = DiamMine::new(data, sigma, SupportMeasure::MinimumImage);
+        let dm = DiamMine::new(data, sigma, measure);
         let len1 = dm.frequent_edges();
         // doubling is the join at target 2n: lengths 2, 4 and 8
         let len2 = dm.merge_to_length(&len1, 2);

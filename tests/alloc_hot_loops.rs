@@ -103,6 +103,25 @@ fn labeled_paths_graph(n: u32) -> LabeledGraph {
     LabeledGraph::from_unlabeled_edges(&labels, edges).unwrap()
 }
 
+/// `copies` components `i`–centre–`j` for every leaf-label pair
+/// `1 <= i <= j <= 4`, the centre labeled 0: each of the 4 centre-leaf edge
+/// patterns has minimum image support `4 * copies`, each of the 10
+/// length-2 patterns exactly `copies` occurrences.
+fn leaf_pairs_graph(copies: u32) -> LabeledGraph {
+    let mut labels = Vec::new();
+    let mut edges = Vec::new();
+    for i in 1..=4 {
+        for j in i..=4 {
+            for _ in 0..copies {
+                let c = labels.len() as u32;
+                labels.extend([l(0), l(i), l(j)]);
+                edges.extend([(c, c + 1), (c, c + 2)]);
+            }
+        }
+    }
+    LabeledGraph::from_unlabeled_edges(&labels, edges).unwrap()
+}
+
 #[test]
 fn hot_loops_allocate_per_pattern_not_per_row() {
     // ---- Stage I concat: reject path ------------------------------------
@@ -136,6 +155,34 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
         "merge reject path allocated {merge_allocs} times for {scanned_rows} scanned rows — \
          the reject path must not allocate per row"
     );
+
+    // ---- Stage I join: dead-slot path ----------------------------------
+    // every product slot's σ bound is below σ, so the gather pass skips
+    // every recorded product: the warm join allocates for its arenas, its
+    // scratch, its slot keys and its product record only, never per
+    // gathered row
+    {
+        const COPIES: u32 = 200;
+        let snapshot = CsrSnapshot::from_graph(&leaf_pairs_graph(COPIES));
+        let dm =
+            DiamMine::new(MiningData::Snapshot(&snapshot), COPIES as usize + 1, SupportMeasure::MinimumImage);
+        let len1 = dm.frequent_edges();
+        assert_eq!(len1.len(), 4, "every centre-leaf edge pattern is frequent");
+        let scanned_rows: u64 = 2 * rows_of(&len1);
+        let products = 10 * COPIES as u64; // one per component, mirror twin pruned
+        let _warmup = dm.merge_to_length(&len1, 2);
+        let (dead_allocs, len2) = counted(|| dm.merge_to_length(&len1, 2));
+        assert!(len2.is_empty(), "every length-2 pattern has {COPIES} occurrences, one short of σ");
+        assert!(
+            dead_allocs < 160,
+            "dead-slot join allocated {dead_allocs} times for {scanned_rows} scanned rows and {products} \
+             skipped products — skipped products must not allocate"
+        );
+        let mut stats = skinnymine::MiningStats::default();
+        dm.mine_exact_many_with_stats(&[2], &mut stats);
+        assert_eq!(stats.join_rows_pruned, products, "every skipped product counts as a pruned row");
+        assert_eq!(stats.join_products_rejected_sigma, 10, "every dead slot counts as a rejected product");
+    }
 
     // ---- Stage I ladder level: warm arena rebuild is allocation-free ----
     // the level-carried join index's steady state (same level shape, fresh
