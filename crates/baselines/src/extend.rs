@@ -255,10 +255,10 @@ mod tests {
     fn frequent_edges_respect_sigma() {
         let g = graph();
         let data = Data::Single(&g);
-        let edges = EmbeddedPattern::frequent_edges(data, 2, SupportMeasure::DistinctVertexSets);
+        let edges = EmbeddedPattern::frequent_edges(data, 2, SupportMeasure::MinimumImage);
         // a-b, b-c, a-c appear twice; a-d once
         assert_eq!(edges.len(), 3);
-        let all = EmbeddedPattern::frequent_edges(data, 1, SupportMeasure::DistinctVertexSets);
+        let all = EmbeddedPattern::frequent_edges(data, 1, SupportMeasure::MinimumImage);
         assert_eq!(all.len(), 4);
     }
 
@@ -266,7 +266,7 @@ mod tests {
     fn candidates_and_apply_grow_triangle() {
         let g = graph();
         let data = Data::Single(&g);
-        let edges = EmbeddedPattern::frequent_edges(data, 2, SupportMeasure::DistinctVertexSets);
+        let edges = EmbeddedPattern::frequent_edges(data, 2, SupportMeasure::MinimumImage);
         // take the a-b edge pattern and grow it
         let ab = edges
             .iter()
@@ -282,13 +282,13 @@ mod tests {
             .unwrap();
         let grown = ab.apply(data, grow).unwrap();
         assert_eq!(grown.graph.vertex_count(), 3);
-        assert!(grown.support(SupportMeasure::DistinctVertexSets) >= 2);
+        assert!(grown.embeddings.distinct_vertex_sets() >= 2);
         // closing the triangle keeps support 2
         let close =
             grown.candidates(data).into_iter().find(|c| matches!(c, Growth::ClosingEdge { .. })).unwrap();
         let triangle = grown.apply(data, close).unwrap();
         assert_eq!(triangle.graph.edge_count(), 3);
-        assert_eq!(triangle.support(SupportMeasure::DistinctVertexSets), 2);
+        assert_eq!(triangle.embeddings.distinct_vertex_sets(), 2);
         assert_eq!(triangle.diameter(), 1);
     }
 
@@ -296,7 +296,7 @@ mod tests {
     fn apply_returns_none_when_no_embedding_survives() {
         let g = graph();
         let data = Data::Single(&g);
-        let edges = EmbeddedPattern::frequent_edges(data, 1, SupportMeasure::DistinctVertexSets);
+        let edges = EmbeddedPattern::frequent_edges(data, 1, SupportMeasure::MinimumImage);
         let ad = edges.iter().find(|p| p.graph.labels().contains(&l(5))).unwrap();
         // no vertex labeled 7 exists anywhere
         let bogus = Growth::NewVertex { attach: 0, vertex_label: l(7), edge_label: Label::DEFAULT_EDGE };

@@ -105,39 +105,18 @@ impl Embedding {
     }
 }
 
-/// How `|E[P]| >= σ` is interpreted.
+/// How `|E[P]| >= σ` is interpreted.  Both measures are anti-monotone: a
+/// pattern's support never exceeds the support of any of its sub-patterns,
+/// so every sub-pattern of a frequent pattern is frequent too, which both
+/// mining stages rely on.  The raw embedding count
+/// ([`EmbeddingSet::len`]) and the distinct vertex-set count
+/// ([`EmbeddingSet::distinct_vertex_sets`]) are not anti-monotone and are
+/// plain methods, not measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum SupportMeasure {
-    /// Raw number of embeddings (vertex mappings).  Automorphic patterns are
-    /// counted once per automorphism.  Not anti-monotone: SkinnyMine rejects
-    /// it for mining and keeps it for reporting and the baselines.
-    EmbeddingCount,
-    /// Number of distinct data-vertex sets among the embeddings.  This
-    /// collapses automorphisms and matches the paper's "inject a pattern with
-    /// s embeddings" semantics.  Not anti-monotone: SkinnyMine rejects it for
-    /// mining and keeps it for reporting and the baselines.
-    DistinctVertexSets,
     /// Minimum-image-based support (MNI): the minimum, over pattern vertices,
     /// of the number of distinct data vertices that vertex maps to.  The
     /// default, and the single-graph measure SkinnyMine mines under.
-    #[default]
-    MinimumImage,
-    /// Transaction support: number of distinct transactions containing at
-    /// least one embedding (graph-transaction setting).
-    Transactions,
-}
-
-impl SupportMeasure {
-    /// True when a pattern's support never exceeds the support of any of its
-    /// sub-patterns under this measure, so every sub-pattern of a frequent
-    /// pattern is frequent too.
-    ///
-    /// [`SupportMeasure::MinimumImage`] and [`SupportMeasure::Transactions`]
-    /// are anti-monotone by definition.  [`SupportMeasure::EmbeddingCount`]
-    /// and [`SupportMeasure::DistinctVertexSets`] are not: a super-pattern
-    /// can have more embeddings or vertex sets than its parts.  In a one-label
-    /// K₆, for instance, the triangle has 20 vertex sets while the edge it
-    /// contains has only 15.
     ///
     /// MNI is anti-monotone over the full embedding set, where every
     /// automorphic image of a symmetric pattern is an embedding.  The miners
@@ -145,9 +124,11 @@ impl SupportMeasure {
     /// from a symmetric pattern to a super-pattern.  In the graph
     /// `a(0)–b(0), a–c(1), b–d(1)` the stored `0–0` edge has MNI 1 and the
     /// `0–0–1` path has MNI 2.
-    pub fn is_anti_monotone(self) -> bool {
-        matches!(self, SupportMeasure::MinimumImage | SupportMeasure::Transactions)
-    }
+    #[default]
+    MinimumImage,
+    /// Transaction support: number of distinct transactions containing at
+    /// least one embedding (graph-transaction setting).
+    Transactions,
 }
 
 /// The embeddings of one pattern, together with support computation.
@@ -227,8 +208,6 @@ impl EmbeddingSet {
     /// Support under the chosen measure.
     pub fn support(&self, measure: SupportMeasure) -> usize {
         match measure {
-            SupportMeasure::EmbeddingCount => self.len(),
-            SupportMeasure::DistinctVertexSets => self.distinct_vertex_sets(),
             SupportMeasure::MinimumImage => self.mni_support(),
             SupportMeasure::Transactions => self.transaction_support(),
         }
@@ -318,8 +297,8 @@ mod tests {
         set.push(Embedding::new(v(&[0, 1])));
         set.push(Embedding::new(v(&[1, 0])));
         set.push(Embedding::new(v(&[2, 3])));
-        assert_eq!(set.support(SupportMeasure::EmbeddingCount), 3);
-        assert_eq!(set.support(SupportMeasure::DistinctVertexSets), 2);
+        assert_eq!(set.len(), 3);
+        assert_eq!(set.distinct_vertex_sets(), 2);
         // vertex 0 of the pattern maps to {0,1,2} -> 3 ; vertex 1 maps to {1,0,3} -> 3
         assert_eq!(set.support(SupportMeasure::MinimumImage), 3);
         assert_eq!(set.support(SupportMeasure::Transactions), 1);

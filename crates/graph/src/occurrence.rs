@@ -9,11 +9,10 @@
 //! `parent row + new vertex` straight into the child's arena
 //! ([`OccurrenceStore::push_row_extended`]).
 //!
-//! The store provides the same support measures as
-//! [`EmbeddingSet`] — raw count, distinct
-//! vertex sets, minimum image (MNI) and transaction count — with identical
-//! semantics (property-tested against `find_embeddings`), plus conversions in
-//! both directions for the cold reporting path.
+//! The store provides the same support measures as [`EmbeddingSet`] —
+//! minimum image (MNI) and transaction count — with identical semantics
+//! (property-tested against `find_embeddings`), plus conversions in both
+//! directions for the cold reporting path.
 
 use crate::embedding::{Embedding, EmbeddingSet, SupportMeasure};
 use crate::graph::VertexId;
@@ -26,11 +25,10 @@ use serde::{Deserialize, Serialize};
 /// `Vec` keys, no hash sets, and (after warm-up) no allocation at all.
 #[derive(Debug, Default, Clone)]
 pub struct SupportScratch {
-    /// Arena copy whose rows are sorted (and deduplicated) in place.
-    sorted: Vec<VertexId>,
-    /// Deduplicated length of each sorted row.
+    /// Keep flag of each row in the exact-duplicate removal.
     lens: Vec<u32>,
-    /// Row order buffer for the distinct-vertex-set count.
+    /// Row order buffer for the duplicate removal and the transaction
+    /// count.
     rows: Vec<u32>,
     /// `(transaction, image)` buffer for the MNI column counts.
     keys: Vec<(u32, VertexId)>,
@@ -401,56 +399,6 @@ impl OccurrenceStore {
         *self = sorted;
     }
 
-    /// Number of distinct `(transaction, vertex set)` images.
-    pub fn distinct_vertex_sets(&self) -> usize {
-        self.distinct_vertex_sets_with(&mut SupportScratch::new())
-    }
-
-    /// [`OccurrenceStore::distinct_vertex_sets`] with caller-provided scratch
-    /// buffers: a sorted copy of the arena plus an index sort replace the
-    /// per-row `Vec` keys the hash-set formulation would allocate.
-    pub fn distinct_vertex_sets_with(&self, scratch: &mut SupportScratch) -> usize {
-        if self.is_empty() {
-            return 0;
-        }
-        let arity = self.arity;
-        let SupportScratch { sorted, lens, rows, .. } = scratch;
-        sorted.clear();
-        sorted.extend_from_slice(&self.arena);
-        lens.clear();
-        for i in 0..self.len() {
-            let row = &mut sorted[i * arity..(i + 1) * arity];
-            row.sort_unstable();
-            // in-place dedup: shift distinct values left, record the length
-            let mut w = 1usize;
-            for r in 1..arity {
-                if row[r] != row[w - 1] {
-                    row[w] = row[r];
-                    w += 1;
-                }
-            }
-            lens.push(w as u32);
-        }
-        let set_of = |i: u32| {
-            let i = i as usize;
-            &sorted[i * arity..i * arity + lens[i] as usize]
-        };
-        rows.clear();
-        rows.extend(0..self.len() as u32);
-        rows.sort_unstable_by(|&a, &b| {
-            self.transactions[a as usize]
-                .cmp(&self.transactions[b as usize])
-                .then_with(|| set_of(a).cmp(set_of(b)))
-        });
-        1 + rows
-            .windows(2)
-            .filter(|w| {
-                self.transactions[w[0] as usize] != self.transactions[w[1] as usize]
-                    || set_of(w[0]) != set_of(w[1])
-            })
-            .count()
-    }
-
     /// Minimum-image-based (MNI) support: the minimum, over pattern
     /// vertices, of the number of distinct data vertices the column maps to.
     pub fn mni_support(&self) -> usize {
@@ -505,8 +453,6 @@ impl OccurrenceStore {
     /// freshly allocated hash set.
     pub fn support_with(&self, measure: SupportMeasure, scratch: &mut SupportScratch) -> usize {
         match measure {
-            SupportMeasure::EmbeddingCount => self.len(),
-            SupportMeasure::DistinctVertexSets => self.distinct_vertex_sets_with(scratch),
             SupportMeasure::MinimumImage => self.mni_support_with(scratch),
             SupportMeasure::Transactions => self.transaction_support_with(scratch),
         }
@@ -520,7 +466,7 @@ impl OccurrenceStore {
     /// at least `sigma`; below `sigma` the evaluation stops at the first
     /// certificate and only promises to return *some* value `< sigma`, so a
     /// caller's `support < sigma` test decides identically to the exact
-    /// evaluation (property-tested across all four measures in
+    /// evaluation (property-tested across both measures in
     /// `crates/graph/tests`):
     ///
     /// * every measure's support is bounded by the row count, so a store
@@ -543,8 +489,6 @@ impl OccurrenceStore {
             return self.len();
         }
         match measure {
-            SupportMeasure::EmbeddingCount => self.len(),
-            SupportMeasure::DistinctVertexSets => self.distinct_vertex_sets_with(scratch),
             SupportMeasure::MinimumImage => self.mni_support_pruned(sigma, scratch),
             SupportMeasure::Transactions => self.transaction_support_with(scratch),
         }
@@ -600,15 +544,12 @@ impl OccurrenceStore {
 /// to redo over its own gathered rows for MNI are hoisted into a one-time
 /// *rank-assignment pass over the parent*, after which each candidate is
 /// scored by linear passes over its supporting entries with epoch-stamped
-/// per-candidate accumulators — no child store is ever materialized for an
-/// MNI, transaction or embedding-count decision, so the reject path
-/// performs no gather at all.  Distinct vertex sets, which no miner runs
-/// under, gather the child rows into a store owned by the batch and count
-/// them with [`OccurrenceStore::distinct_vertex_sets_with`].
+/// per-candidate accumulators — no child store is ever materialized for a
+/// support decision, so the reject path performs no gather at all.
 ///
 /// [`SupportBatch::support_extended`] returns exactly the value of gathering
 /// `entries` into a child store ([`parent row` + optional new vertex] per
-/// entry) and calling [`OccurrenceStore::support_with`] on it, for all four
+/// entry) and calling [`OccurrenceStore::support_with`] on it, for both
 /// measures (property-tested in the mining crate).
 ///
 /// Candidate entry lists are additionally **frontier-compressed**: entry row
@@ -640,10 +581,6 @@ pub struct SupportBatch {
     marks: VertexMarks,
     /// Composite per-candidate accumulator (e.g. `(transaction, vertex)`).
     key_marks: KeyMarks,
-    /// Distinct vertex sets: the gathered child rows of one candidate ...
-    child: OccurrenceStore,
-    /// ... and the scratch that counts them.
-    scratch: SupportScratch,
 }
 
 impl SupportBatch {
@@ -678,21 +615,6 @@ impl SupportBatch {
             return 0;
         }
         match measure {
-            // the child row count is the entry count; nothing to prepare
-            SupportMeasure::EmbeddingCount => entries.len(),
-            SupportMeasure::DistinctVertexSets => {
-                self.child.reset(parent.arity + usize::from(adds_vertex));
-                self.child.reserve_rows(entries.len());
-                for &(row, w) in entries {
-                    let (t, base) = (parent.transaction(row as usize), parent.row(row as usize));
-                    if adds_vertex {
-                        self.child.push_row_extended(t, base, w);
-                    } else {
-                        self.child.push_row(t, base);
-                    }
-                }
-                self.child.distinct_vertex_sets_with(&mut self.scratch)
-            }
             SupportMeasure::Transactions => {
                 self.compress_frontier(entries);
                 self.key_marks.reset();
@@ -756,9 +678,6 @@ impl SupportBatch {
     /// * a minimum-image reject stops at the first column whose distinct
     ///   count falls below `sigma` instead of walking all `arity + 1`
     ///   columns.
-    ///
-    /// Embedding count and distinct vertex sets have no such shortcut and
-    /// return the exact evaluation.
     pub fn support_extended_pruned(
         &mut self,
         parent: &OccurrenceStore,
@@ -767,9 +686,7 @@ impl SupportBatch {
         adds_vertex: bool,
         sigma: usize,
     ) -> usize {
-        if entries.is_empty()
-            || matches!(measure, SupportMeasure::EmbeddingCount | SupportMeasure::DistinctVertexSets)
-        {
+        if entries.is_empty() {
             return self.support_extended(parent, measure, entries, adds_vertex);
         }
         self.compress_frontier(entries);
@@ -919,16 +836,11 @@ mod tests {
     fn support_measures_match_embedding_set() {
         let s = store();
         let es = s.to_embedding_set();
-        for m in [
-            SupportMeasure::EmbeddingCount,
-            SupportMeasure::DistinctVertexSets,
-            SupportMeasure::MinimumImage,
-            SupportMeasure::Transactions,
-        ] {
+        for m in MEASURES {
             assert_eq!(s.support(m), es.support(m), "measure {m:?}");
         }
-        assert_eq!(s.support(SupportMeasure::EmbeddingCount), 3);
-        assert_eq!(s.support(SupportMeasure::DistinctVertexSets), 2);
+        assert_eq!(es.len(), 3);
+        assert_eq!(es.distinct_vertex_sets(), 2);
         assert_eq!(s.support(SupportMeasure::Transactions), 2);
     }
 
@@ -936,7 +848,7 @@ mod tests {
     fn empty_store_supports_are_zero() {
         let s = OccurrenceStore::new(3);
         assert_eq!(s.support(SupportMeasure::MinimumImage), 0);
-        assert_eq!(s.support(SupportMeasure::DistinctVertexSets), 0);
+        assert_eq!(s.to_embedding_set().distinct_vertex_sets(), 0);
         assert_eq!(s.support(SupportMeasure::Transactions), 0);
     }
 
@@ -1059,14 +971,10 @@ mod tests {
         s.push_row(0, &v(&[0, 1, 2]));
     }
 
-    /// Gathers `entries` over `parent` the way the extension index does and
-    /// measures the child store — the reference the batch must match.
-    fn gather_and_measure(
-        parent: &OccurrenceStore,
-        entries: &[(u32, VertexId)],
-        adds_vertex: bool,
-        measure: SupportMeasure,
-    ) -> usize {
+    const MEASURES: [SupportMeasure; 2] = [SupportMeasure::MinimumImage, SupportMeasure::Transactions];
+
+    /// Gathers `entries` over `parent` the way the extension index does.
+    fn gather(parent: &OccurrenceStore, entries: &[(u32, VertexId)], adds_vertex: bool) -> OccurrenceStore {
         let mut child = OccurrenceStore::new(parent.arity() + usize::from(adds_vertex));
         for &(row, w) in entries {
             if adds_vertex {
@@ -1075,15 +983,19 @@ mod tests {
                 child.push_row(parent.transaction(row as usize), parent.row(row as usize));
             }
         }
-        child.support(measure)
+        child
     }
 
-    const ALL_MEASURES: [SupportMeasure; 4] = [
-        SupportMeasure::EmbeddingCount,
-        SupportMeasure::DistinctVertexSets,
-        SupportMeasure::MinimumImage,
-        SupportMeasure::Transactions,
-    ];
+    /// Measures the gathered child store — the reference the batch must
+    /// match.
+    fn gather_and_measure(
+        parent: &OccurrenceStore,
+        entries: &[(u32, VertexId)],
+        adds_vertex: bool,
+        measure: SupportMeasure,
+    ) -> usize {
+        gather(parent, entries, adds_vertex).support(measure)
+    }
 
     #[test]
     fn batched_support_matches_gather_and_measure() {
@@ -1098,7 +1010,7 @@ mod tests {
             vec![(0, VertexId(7)), (0, VertexId(8)), (2, VertexId(7)), (4, VertexId(9))];
         let closing: Vec<(u32, VertexId)> = vec![(1, VertexId(0)), (3, VertexId(0)), (4, VertexId(0))];
         let mut batch = SupportBatch::new();
-        for measure in ALL_MEASURES {
+        for measure in MEASURES {
             batch.invalidate();
             assert_eq!(
                 batch.support_extended(&parent, measure, &entries, true),
@@ -1116,18 +1028,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_distinct_sets_collapse_across_different_parents() {
+    fn batched_support_matches_gather_when_children_share_a_vertex_set() {
         // rows {8, 9} + w = 10 and {8, 10} + w = 9 produce the SAME child
-        // vertex set {8, 9, 10}: the batch must count them once, exactly as
-        // the gathered store does.
+        // vertex set {8, 9, 10} from different parents
         let mut parent = OccurrenceStore::new(2);
         parent.push_row(0, &v(&[8, 9]));
         parent.push_row(0, &v(&[8, 10]));
         let entries: Vec<(u32, VertexId)> = vec![(0, VertexId(10)), (1, VertexId(9))];
+        assert_eq!(gather(&parent, &entries, true).to_embedding_set().distinct_vertex_sets(), 1);
         let mut batch = SupportBatch::new();
-        let got = batch.support_extended(&parent, SupportMeasure::DistinctVertexSets, &entries, true);
-        assert_eq!(got, 1);
-        assert_eq!(got, gather_and_measure(&parent, &entries, true, SupportMeasure::DistinctVertexSets));
+        for measure in MEASURES {
+            batch.invalidate();
+            let got = batch.support_extended(&parent, measure, &entries, true);
+            assert_eq!(got, 1, "measure {measure:?}");
+            assert_eq!(got, gather_and_measure(&parent, &entries, true, measure));
+        }
     }
 
     #[test]

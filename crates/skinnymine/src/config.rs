@@ -105,11 +105,9 @@ pub struct SkinnyMineConfig {
     pub delta: u32,
     /// Minimum support threshold σ.
     pub sigma: usize,
-    /// How `|E[P]|` is counted.  Only the anti-monotone measures
-    /// ([`SupportMeasure::is_anti_monotone`]) can be mined, because both
-    /// stages extend only frequent patterns: [`SupportMeasure::MinimumImage`]
-    /// (the default) and [`SupportMeasure::Transactions`].
-    /// [`SkinnyMineConfig::validate`] rejects the other two.
+    /// How `|E[P]|` is counted: [`SupportMeasure::MinimumImage`] (the
+    /// default) or [`SupportMeasure::Transactions`].  Both are anti-monotone,
+    /// which both stages need because they extend only frequent patterns.
     pub support: SupportMeasure,
     /// Which patterns are reported.
     pub report: ReportMode,
@@ -212,8 +210,7 @@ impl SkinnyMineConfig {
         key
     }
 
-    /// Validates the configuration, including that its support measure is
-    /// anti-monotone: the miner is complete only for such a measure.
+    /// Validates the configuration.
     pub fn validate(&self) -> Result<(), crate::error::MineError> {
         use crate::error::MineError;
         if self.length.min_len() == 0 {
@@ -233,14 +230,6 @@ impl SkinnyMineConfig {
         }
         if self.threads == 0 {
             return Err(MineError::InvalidConfig { reason: "thread count must be at least 1".into() });
-        }
-        if !self.support.is_anti_monotone() {
-            return Err(MineError::InvalidConfig {
-                reason: format!(
-                    "support measure {:?} is not anti-monotone; mine under MinimumImage or Transactions",
-                    self.support
-                ),
-            });
         }
         Ok(())
     }
@@ -305,9 +294,5 @@ mod tests {
         let bad_range = SkinnyMineConfig::new(4, 2, 2).with_length(LengthConstraint::Between(6, 3));
         assert!(bad_range.validate().is_err());
         assert!(SkinnyMineConfig::default().validate().is_ok());
-        for measure in [SupportMeasure::EmbeddingCount, SupportMeasure::DistinctVertexSets] {
-            let err = SkinnyMineConfig::new(4, 2, 2).with_support_measure(measure).validate().unwrap_err();
-            assert!(err.to_string().contains(&format!("{measure:?}")), "{err}");
-        }
     }
 }

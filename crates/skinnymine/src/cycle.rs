@@ -18,10 +18,10 @@
 //!   pairs the already-mined length-`l` paths.  Every occurrence splits at
 //!   its minimum vertex into two `l`-arcs that start there, share nothing
 //!   else, and whose far ends are joined by the closing edge.  Both arcs are
-//!   sub-patterns of the cycle, so under an anti-monotone measure they are
-//!   frequent whenever the cycle is.  The miner admits only such measures
-//!   ([`SupportMeasure::MinimumImage`] and [`SupportMeasure::Transactions`]),
-//!   so this is its route whenever the `2l`-paths were not mined.
+//!   sub-patterns of the cycle, so under either (anti-monotone) measure,
+//!   [`SupportMeasure::MinimumImage`] or [`SupportMeasure::Transactions`],
+//!   they are frequent whenever the cycle is.  This is the route whenever
+//!   the `2l`-paths were not mined.
 //! * **`2l`-paths** — [`DiamMine::cycles_from_paths`](crate::diam_mine::DiamMine::cycles_from_paths)
 //!   checks which frequent length-`2l` paths close into a cycle.  The
 //!   seed rule uses it whenever the mined length range holds those paths
@@ -345,7 +345,7 @@ mod tests {
         assert_eq!(p.embeddings.len(), 1);
         assert_eq!(p.cycle_len(), 5);
         assert_eq!(p.diameter_len(), 2);
-        assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 1);
+        assert_eq!(p.embeddings.to_embedding_set().distinct_vertex_sets(), 1);
     }
 
     #[test]

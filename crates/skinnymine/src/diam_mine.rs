@@ -864,11 +864,10 @@ impl<'a> DiamMine<'a> {
     /// check, then canonicalization; the shared accumulator σ-filters.
     /// Chunks of the probing rows run on the pool as in the ladder joins.
     ///
-    /// Complete only under an **anti-monotone** measure
-    /// ([`SupportMeasure::is_anti_monotone`]): both arcs are sub-patterns of
-    /// the cycle, so the cycle being frequent makes both arc patterns
-    /// frequent, and `paths_l` then holds every occurrence of them.  For any
-    /// such measure the result is byte-identical to
+    /// Complete because every [`SupportMeasure`] is anti-monotone: both arcs
+    /// are sub-patterns of the cycle, so the cycle being frequent makes both
+    /// arc patterns frequent, and `paths_l` then holds every occurrence of
+    /// them.  For either measure the result is byte-identical to
     /// [`DiamMine::cycles_from_paths`] over the `2l`-paths.
     pub fn cycles_from_arcs(&self, paths_l: &[PathPattern], l: usize) -> Vec<CyclePattern> {
         if paths_l.is_empty() || l == 0 {
@@ -1076,7 +1075,7 @@ mod tests {
     }
 
     /// Two disjoint copies of the labeled path a-b-c-d-e (labels 0..4),
-    /// giving every sub-path support 2 under distinct-vertex-set counting.
+    /// giving every sub-path MNI support 2 and two distinct vertex sets.
     fn two_path_copies() -> LabeledGraph {
         let labels = vec![l(0), l(1), l(2), l(3), l(4), l(0), l(1), l(2), l(3), l(4)];
         LabeledGraph::from_unlabeled_edges(
@@ -1087,7 +1086,7 @@ mod tests {
     }
 
     fn miner(g: &LabeledGraph, sigma: usize) -> DiamMine<'_> {
-        DiamMine::new(MiningData::Single(g), sigma, SupportMeasure::DistinctVertexSets)
+        DiamMine::new(MiningData::Single(g), sigma, SupportMeasure::MinimumImage)
     }
 
     #[test]
@@ -1108,7 +1107,7 @@ mod tests {
         assert_eq!(edges.len(), 4);
         for e in &edges {
             assert_eq!(e.len(), 1);
-            assert_eq!(e.support(SupportMeasure::DistinctVertexSets), 2);
+            assert_eq!(e.embeddings.to_embedding_set().distinct_vertex_sets(), 2);
         }
         // at sigma 3 nothing survives
         assert!(miner(&g, 3).frequent_edges().is_empty());
@@ -1153,7 +1152,7 @@ mod tests {
         assert_eq!(len2.len(), 3);
         for p in &len2 {
             assert_eq!(p.len(), 2);
-            assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 2);
+            assert_eq!(p.embeddings.to_embedding_set().distinct_vertex_sets(), 2);
         }
         let len4 = m.merge_to_length(&len2, 4);
         // length-4 path: only (0,1,2,3,4)
@@ -1168,7 +1167,7 @@ mod tests {
         let paths = miner(&g, 2).mine_exact(4);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 4);
-        assert_eq!(paths[0].support(SupportMeasure::DistinctVertexSets), 2);
+        assert_eq!(paths[0].embeddings.to_embedding_set().distinct_vertex_sets(), 2);
     }
 
     #[test]
@@ -1181,7 +1180,7 @@ mod tests {
         assert_eq!(paths.len(), 2);
         for p in &paths {
             assert_eq!(p.len(), 3);
-            assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 2);
+            assert_eq!(p.embeddings.to_embedding_set().distinct_vertex_sets(), 2);
         }
     }
 
@@ -1239,7 +1238,7 @@ mod tests {
         assert_eq!(c5.cycle_len(), 5);
         // each pentagon contributes one undirected C5 occurrence
         assert_eq!(c5.embeddings.len(), 2);
-        assert_eq!(c5.support(SupportMeasure::DistinctVertexSets), 2);
+        assert_eq!(c5.embeddings.to_embedding_set().distinct_vertex_sets(), 2);
         // no C3 in this data
         assert!(m.frequent_cycles(1).is_empty());
     }

@@ -654,7 +654,7 @@ mod tests {
         assert_eq!(p.head(), VertexId(0));
         assert_eq!(p.tail(), VertexId(3));
         assert_eq!(p.max_level(), 0);
-        assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 2);
+        assert_eq!(p.embeddings.to_embedding_set().distinct_vertex_sets(), 2);
         assert_eq!(p.diameter_labels(), vec![l(0), l(1), l(2), l(3)]);
         assert!(p.indices_consistent());
     }

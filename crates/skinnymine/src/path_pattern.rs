@@ -468,8 +468,9 @@ mod tests {
         let mut p = PathPattern::new(key);
         p.add_occurrence(0, vec![VertexId(0), VertexId(1)], false);
         p.add_occurrence(1, vec![VertexId(2), VertexId(3)], false);
-        assert_eq!(p.support(SupportMeasure::EmbeddingCount), 2);
-        assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 2);
+        assert_eq!(p.embeddings.len(), 2);
+        assert_eq!(p.embeddings.to_embedding_set().distinct_vertex_sets(), 2);
+        assert_eq!(p.support(SupportMeasure::MinimumImage), 2);
         assert_eq!(p.support(SupportMeasure::Transactions), 2);
         assert!(!p.is_empty());
     }

@@ -82,11 +82,6 @@ impl Clone for MinimalPatternIndex {
 impl MinimalPatternIndex {
     /// Builds the index over a single graph for every frequent path length up
     /// to `max_len` (`None` = up to the longest frequent path).
-    ///
-    /// Every builder takes any support measure, but only an anti-monotone
-    /// one can be served: an index built under `EmbeddingCount` or
-    /// `DistinctVertexSets` answers every request with
-    /// [`MineError::InvalidConfig`] (see [`SkinnyMineConfig::validate`]).
     pub fn build(
         graph: &LabeledGraph,
         sigma: usize,
@@ -428,9 +423,8 @@ mod tests {
         let idx = MinimalPatternIndex::build(&g, 2, SupportMeasure::MinimumImage, None);
         let lower_sigma = SkinnyMineConfig::new(4, 2, 1);
         assert!(idx.request(&lower_sigma).is_err());
-        for other in [SupportMeasure::Transactions, SupportMeasure::EmbeddingCount] {
-            assert!(idx.request(&SkinnyMineConfig::new(4, 2, 2).with_support_measure(other)).is_err());
-        }
+        let other = SkinnyMineConfig::new(4, 2, 2).with_support_measure(SupportMeasure::Transactions);
+        assert!(idx.request(&other).is_err());
         // higher sigma is fine: seeds are re-filtered
         let higher_sigma = SkinnyMineConfig::new(4, 2, 3);
         let r = idx.request(&higher_sigma).unwrap();

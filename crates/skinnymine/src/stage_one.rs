@@ -58,8 +58,8 @@ impl SeedSet {
 /// 3. `2l` lies past `hi`: pair the mined `l`-arcs
 ///    ([`DiamMine::cycles_from_arcs`]).
 ///
-/// Closing and pairing give the same bytes under the anti-monotone measures
-/// that [`crate::SkinnyMineConfig::validate`] admits.
+/// Closing and pairing give the same bytes because every
+/// [`SupportMeasure`] is anti-monotone.
 pub(crate) fn mine_seeds(
     dm: &DiamMine<'_>,
     lo: usize,

@@ -50,7 +50,7 @@ fn sample_patterns(
     scratch: &mut GrowScratch,
 ) -> Vec<GrownPattern> {
     let data = CsrSnapshot::from_graph(g);
-    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
+    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::MinimumImage);
     let mut patterns: Vec<GrownPattern> =
         dm.mine_exact(2).iter().map(GrownPattern::from_path_pattern).collect();
     let mut children = Vec::new();
@@ -147,7 +147,7 @@ proptest! {
     fn batched_support_matches_gather_and_measure(g in any_graph(), delta in 0u32..3) {
         // The batched multi-candidate evaluator must be byte-identical to
         // the retained per-candidate gather_into + support_with path, for
-        // all four support measures, over every candidate of every sampled
+        // both support measures, over every candidate of every sampled
         // pattern (siblings share one prepared parent, as in the engine).
         let data = CsrSnapshot::from_graph(&g);
         let config = SkinnyMineConfig::new(2, delta, 1).with_report(ReportMode::All);
@@ -159,12 +159,7 @@ proptest! {
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
             scratch.ext.build(&pattern, &data, delta);
             let table = &scratch.ext.table;
-            for measure in [
-                SupportMeasure::EmbeddingCount,
-                SupportMeasure::DistinctVertexSets,
-                SupportMeasure::MinimumImage,
-                SupportMeasure::Transactions,
-            ] {
+            for measure in [SupportMeasure::MinimumImage, SupportMeasure::Transactions] {
                 batch.invalidate();
                 for i in 0..table.candidate_count() {
                     let adds_vertex = !matches!(table.extension(i), Extension::ClosingEdge { .. });
@@ -203,12 +198,7 @@ proptest! {
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
             scratch.ext.build(&pattern, &data, delta);
             let table = &scratch.ext.table;
-            for measure in [
-                SupportMeasure::EmbeddingCount,
-                SupportMeasure::DistinctVertexSets,
-                SupportMeasure::MinimumImage,
-                SupportMeasure::Transactions,
-            ] {
+            for measure in [SupportMeasure::MinimumImage, SupportMeasure::Transactions] {
                 batch.invalidate();
                 for i in 0..table.candidate_count() {
                     let adds_vertex = !matches!(table.extension(i), Extension::ClosingEdge { .. });
@@ -317,7 +307,7 @@ proptest! {
     #[test]
     fn engines_mine_identically(g in any_graph()) {
         let data = CsrSnapshot::from_graph(&g);
-        let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
+        let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::MinimumImage);
         let paths = dm.mine_exact(2);
         let cycles = dm.frequent_cycles(2);
         let seeds = paths.iter().map(Seed::Path).chain(cycles.iter().map(Seed::Cycle));

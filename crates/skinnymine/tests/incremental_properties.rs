@@ -4,9 +4,8 @@
 //! remove, in arbitrary interleavings — [`IncrementalMiner::refresh`] must
 //! produce output byte-identical (`Debug`-formatted patterns, embeddings
 //! and all) to a from-scratch [`SkinnyMine`] run over the mutated
-//! database, for every thread count in {1, 2, 8}, under both anti-monotone
-//! support measures with and without a `max_patterns` cap; the other two
-//! measures are rejected.  The miner under test is long-lived: one instance
+//! database, for every thread count in {1, 2, 8}, under both support
+//! measures with and without a `max_patterns` cap.  The miner under test is long-lived: one instance
 //! absorbs every chunk of the sequence, so maintained Stage-I tables and
 //! reused Stage-II clusters are carried across many refreshes, exactly as
 //! a serving deployment would.  The same generators drive
@@ -16,8 +15,7 @@
 use proptest::prelude::*;
 use skinny_graph::{GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
 use skinnymine::{
-    IncrementalMiner, LengthConstraint, MineError, MinimalPatternIndex, ReportMode, SkinnyMine,
-    SkinnyMineConfig,
+    IncrementalMiner, LengthConstraint, MinimalPatternIndex, ReportMode, SkinnyMine, SkinnyMineConfig,
 };
 
 /// One database update, with raw indices that get reduced modulo the
@@ -134,11 +132,8 @@ fn config_for(threads: usize, measure: SupportMeasure, cap: Option<usize>) -> Sk
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The support measures the miner accepts: the anti-monotone ones.
+/// Both support measures.
 const MEASURES: [SupportMeasure; 2] = [SupportMeasure::Transactions, SupportMeasure::MinimumImage];
-
-/// The support measures `IncrementalMiner::new` rejects.
-const REJECTED: [SupportMeasure; 2] = [SupportMeasure::DistinctVertexSets, SupportMeasure::EmbeddingCount];
 
 /// No cap, or a cap small enough to cut most results.
 const CAPS: [Option<usize>; 2] = [None, Some(3)];
@@ -159,10 +154,6 @@ proptest! {
         cap in 0..CAPS.len(),
     ) {
         let base = GraphDatabase::from_graphs(initial);
-        for rejected in REJECTED {
-            let result = IncrementalMiner::new(config_for(1, rejected, CAPS[cap]), base.clone());
-            prop_assert!(matches!(result, Err(MineError::InvalidConfig { .. })), "{:?}", rejected);
-        }
         let mut miners: Vec<IncrementalMiner> = THREAD_COUNTS
             .iter()
             .map(|&threads| {
@@ -220,7 +211,7 @@ proptest! {
     /// `update_database`: after every chunk, the index is `Debug`-identical
     /// to a fresh `build_for_database` over the mutated database — its
     /// lengths, every stored path and cycle seed, and one uncached request
-    /// over every stored length — under both anti-monotone measures, built
+    /// over every stored length — under both support measures, built
     /// unbounded and bounded (a bound of 2 pairs cycle arcs at `l = 2`).
     #[test]
     fn index_update_matches_fresh_build(

@@ -8,9 +8,7 @@ use skinny_graph::{
     analyze, canonical_key, find_embeddings, DfsCode, Edge, Label, LabeledGraph, SubIsoOptions,
     SupportMeasure, VertexId,
 };
-use skinnymine::{
-    IncrementalMiner, MineError, MinimalPatternIndex, ReportMode, SkinnyMine, SkinnyMineConfig,
-};
+use skinnymine::{IncrementalMiner, MinimalPatternIndex, ReportMode, SkinnyMine, SkinnyMineConfig};
 use std::collections::HashSet;
 
 /// Brute force: enumerate every connected edge-subset subgraph of `graph`
@@ -103,33 +101,29 @@ fn matches_brute_force_on_structured_graph() {
     }
 }
 
-/// The one-label star K₁,₆ at l = 2, σ = 7: the 2-path has 15 vertex sets
-/// but the edge only 6, so a ladder that extends only frequent paths never
-/// finds the 2-path under `DistinctVertexSets` (and likewise under
-/// `EmbeddingCount`).  Every entry point rejects both measures instead of
-/// returning that incomplete result; `MinimumImage` mines.
+/// The one-label star K₁,₆ at l = 2, δ = 0, σ = 1 under MNI: the direct
+/// mine, a request to an index and an incremental miner all find the
+/// 2-path, and agree on every pattern's `Debug` bytes (compared sorted,
+/// because the index breaks fewer ordering ties than the direct miner).
 #[test]
-fn non_anti_monotone_measures_are_rejected_on_the_star() {
+fn mni_star_mines_the_two_path_at_every_entry_point() {
     let star = LabeledGraph::from_unlabeled_edges(&[Label(0); 7], (1..7).map(|leaf| (0, leaf))).unwrap();
     let db = skinny_graph::GraphDatabase::from_graphs(vec![star.clone()]);
-    let config =
-        |measure| SkinnyMineConfig::new(2, 0, 7).with_support_measure(measure).with_report(ReportMode::All);
-    let invalid = |r: Result<(), MineError>| matches!(r, Err(MineError::InvalidConfig { .. }));
-    for measure in [SupportMeasure::DistinctVertexSets, SupportMeasure::EmbeddingCount] {
-        assert!(invalid(SkinnyMine::new(config(measure)).mine(&star).map(drop)), "direct mine, {measure:?}");
-        assert!(
-            invalid(IncrementalMiner::new(config(measure), db.clone()).map(drop)),
-            "incremental, {measure:?}"
-        );
-        let index = MinimalPatternIndex::build(&star, 7, measure, None);
-        for request in [measure, SupportMeasure::MinimumImage] {
-            assert!(
-                invalid(index.request(&config(request)).map(drop)),
-                "index {measure:?}, request {request:?}"
-            );
-        }
-    }
-    assert!(SkinnyMine::new(config(SupportMeasure::MinimumImage)).mine(&star).is_ok());
+    let config = SkinnyMineConfig::new(2, 0, 1).with_report(ReportMode::All);
+    let sorted_debug = |patterns: &[skinnymine::SkinnyPattern]| {
+        let mut out: Vec<String> = patterns.iter().map(|p| format!("{p:?}")).collect();
+        out.sort();
+        out
+    };
+    let direct = SkinnyMine::new(config.clone()).mine(&star).unwrap();
+    assert_eq!(direct.patterns.len(), 1);
+    let path = &direct.patterns[0];
+    assert_eq!((path.diameter_len, path.vertex_count(), path.edge_count()), (2, 3, 2));
+    let index = MinimalPatternIndex::build(&star, 1, SupportMeasure::MinimumImage, None);
+    let served = index.request(&config).unwrap();
+    assert_eq!(sorted_debug(&served.patterns), sorted_debug(&direct.patterns), "index request");
+    let incremental = IncrementalMiner::new(config, db).unwrap();
+    assert_eq!(sorted_debug(&incremental.result().patterns), sorted_debug(&direct.patterns), "incremental");
 }
 
 proptest! {

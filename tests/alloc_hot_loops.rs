@@ -126,7 +126,7 @@ fn leaf_pairs_graph(copies: u32) -> LabeledGraph {
 fn hot_loops_allocate_per_pattern_not_per_row() {
     // ---- Stage I concat: reject path ------------------------------------
     let snapshot = CsrSnapshot::from_graph(&matching_graph(300));
-    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::MinimumImage);
     let len1 = dm.frequent_edges();
     assert_eq!(len1.len(), 1);
     let scanned_rows = 2 * len1[0].embeddings.len() as u64; // both orientations
@@ -142,7 +142,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
 
     // ---- Stage I merge: reject path -------------------------------------
     let snapshot = CsrSnapshot::from_graph(&triangles_graph(200));
-    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::MinimumImage);
     let len2 = dm.merge_to_length(&dm.frequent_edges(), 2);
     assert_eq!(len2.len(), 1, "all length-2 paths share the all-zero label pattern");
     let scanned_rows = 2 * len2[0].embeddings.len() as u64;
@@ -224,7 +224,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
 
     // ---- Stage II extension enumeration: reject path --------------------
     let data = CsrSnapshot::from_graph(&matching_graph(300));
-    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
+    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::MinimumImage);
     let len1 = dm.frequent_edges();
     let pattern = GrownPattern::from_path_pattern(&len1[0]);
     let rows = pattern.embeddings.len() as u64;
@@ -246,7 +246,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // per-pattern work, and the entire reject path when the candidate is
     // bound-pruned below sigma) must allocate per candidate, never per row
     let data = CsrSnapshot::from_graph(&labeled_paths_graph(200));
-    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::DistinctVertexSets);
+    let dm = DiamMine::new(MiningData::Snapshot(&data), 1, SupportMeasure::MinimumImage);
     let len1 = dm.frequent_edges();
     let pattern = GrownPattern::from_path_pattern(&len1[0]);
     let rows = pattern.embeddings.len() as u64;
@@ -275,24 +275,19 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // the batched evaluator's steady state: per-parent rank tables and all
     // per-candidate scratch reach full size during warm-up, after which a
     // fresh prepare (invalidate + re-prepare, as on every table rebuild)
-    // plus candidate scoring — for all four measures — allocates nothing
-    let all_measures = [
-        SupportMeasure::EmbeddingCount,
-        SupportMeasure::Transactions,
-        SupportMeasure::MinimumImage,
-        SupportMeasure::DistinctVertexSets,
-    ];
+    // plus candidate scoring — for both measures — allocates nothing
+    let measures = [SupportMeasure::Transactions, SupportMeasure::MinimumImage];
     let entries = ext_scratch.table.entries(0);
-    // a single data graph is one transaction; every other measure sees the
-    // 200 disjoint embeddings
+    // a single data graph is one transaction; MNI sees the 200 disjoint
+    // embeddings
     let expected = |measure| if measure == SupportMeasure::Transactions { 1 } else { rows as usize };
     let mut batch = SupportBatch::new();
-    for measure in all_measures {
+    for measure in measures {
         batch.invalidate();
         assert_eq!(batch.support_extended(&pattern.embeddings, measure, entries, true), expected(measure));
     }
     let (batch_allocs, ()) = counted(|| {
-        for measure in all_measures {
+        for measure in measures {
             batch.invalidate();
             assert_eq!(
                 batch.support_extended(&pattern.embeddings, measure, entries, true),
@@ -302,13 +297,13 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     });
     assert_eq!(
         batch_allocs, 0,
-        "warm batched support allocated {batch_allocs} times across 4 measures × {rows} rows — \
+        "warm batched support allocated {batch_allocs} times across 2 measures × {rows} rows — \
          rank tables and scoring scratch must be fully reused"
     );
     // the early-exiting variant shares every buffer with the exhaustive one:
     // warm evaluation at any threshold allocates nothing either
     let (pruned_allocs, ()) = counted(|| {
-        for measure in all_measures {
+        for measure in measures {
             batch.invalidate();
             for sigma in [1usize, rows as usize + 1] {
                 let sup = batch.support_extended_pruned(&pattern.embeddings, measure, entries, true, sigma);
@@ -404,7 +399,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // scratch must stay allocation-free apart from the extended graph's
     // single new adjacency entry
     let snapshot = CsrSnapshot::from_graph(&labeled_paths_graph(1));
-    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::MinimumImage);
     let pattern = GrownPattern::from_path_pattern(&dm.frequent_edges()[0]);
     let ext = Extension::NewVertex { attach: 0, vertex_label: l(9), edge_label: Label::DEFAULT_EDGE };
     let chord = Extension::ClosingEdge { u: 0, v: 1, edge_label: Label::DEFAULT_EDGE };
@@ -489,7 +484,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
 
     // ---- accept path: allocation tracks emitted patterns ----------------
     let snapshot = CsrSnapshot::from_graph(&labeled_paths_graph(200));
-    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::DistinctVertexSets);
+    let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 1, SupportMeasure::MinimumImage);
     let len1 = dm.frequent_edges();
     assert_eq!(len1.len(), 2);
     let scanned_rows = 2 * rows_of(&len1);
