@@ -77,8 +77,8 @@ pub use graph::{Edge, GraphSignature, LabeledGraph, VertexId};
 pub use iso::{are_isomorphic, automorphism_count};
 pub use label::{Label, LabelTable};
 pub use occ_index::{
-    all_distinct_marked, disjoint_except_shared_marked, GroupSorter, JoinScratch, KeyMarks, PairMemo,
-    PrefixIndex, VertexMarks, VertexSlots,
+    all_distinct_marked, disjoint_except_shared_marked, GroupSorter, JoinScratch, KeyMarks, PrefixIndex,
+    VertexMarks, VertexSlots,
 };
 pub use occurrence::{OccRow, OccurrenceStore, SupportBatch, SupportScratch};
 pub use path::{enumerate_simple_paths, lexicographic_path_order, total_path_order, Path};

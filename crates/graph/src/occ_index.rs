@@ -15,6 +15,10 @@
 //!   vertex ids.  Resetting is an epoch bump (O(1)), so per-row distinctness
 //!   and reverse-image probes are O(k) array accesses with no clearing cost
 //!   and no per-row heap allocation.
+//! * [`KeyMarks`] — a hashed epoch-stamped set of composite `u128` keys
+//!   with an optional `u32` value per key: the support kernels' column
+//!   accumulator, the extension probes' dedup and the Stage-I joins'
+//!   pattern-pair memo.
 //! * [`JoinScratch`] — the per-worker bundle of reusable buffers the join
 //!   bodies thread through their row loop.
 //!
@@ -317,141 +321,51 @@ impl PrefixIndex {
     }
 }
 
-/// A dense epoch-stamped `u64 → u32` memo table (open addressing, linear
-/// probing): `O(1)` get/insert, `O(1)` reset via epoch bump, zero allocation
-/// after warm-up.
+/// A dense epoch-stamped table of `u128` keys with an optional `u32` value
+/// per key (open addressing, linear probing): `O(1)` insert/test/get,
+/// `O(1)` reset via epoch bump, zero allocation after warm-up.
 ///
-/// This is the Stage-I joins' **pattern-pair memo**: every directed
-/// occurrence row's label sequence is fully determined by its source
-/// `(pattern, direction)`, so all join products of one source pair share one
-/// canonical key — the memo caches `(packed source pair) → (pattern slot,
-/// orientation)` so only the *first* product of a pair pays label assembly,
-/// canonicalization and the interning hash; every later product is routed to
-/// its slot by one probe of this table.
-#[derive(Debug, Clone)]
-pub struct PairMemo {
-    /// Current epoch; starts at 1 so zero-initialized stamps are unmarked.
-    epoch: u32,
-    stamp: Vec<u32>,
-    key: Vec<u64>,
-    value: Vec<u32>,
-    /// Entries inserted in the current epoch (drives load-factor growth).
-    live: usize,
-}
-
-impl Default for PairMemo {
-    fn default() -> Self {
-        PairMemo { epoch: 1, stamp: Vec::new(), key: Vec::new(), value: Vec::new(), live: 0 }
-    }
-}
-
-impl PairMemo {
-    /// Creates an empty memo (the table grows on demand).
-    pub fn new() -> Self {
-        PairMemo::default()
-    }
-
-    /// Starts a fresh empty memo: O(1) except on epoch wrap-around.
-    pub fn reset(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.live = 0;
-    }
-
-    #[inline]
-    fn slot(stamp: &[u32], key: &[u64], epoch: u32, k: u64) -> (usize, bool) {
-        let mask = stamp.len() - 1;
-        let h = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut i = (h >> 32) as usize & mask;
-        loop {
-            if stamp[i] != epoch {
-                return (i, false);
-            }
-            if key[i] == k {
-                return (i, true);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// The memoized value of `k` in the current epoch, if any.
-    #[inline]
-    pub fn get(&self, k: u64) -> Option<u32> {
-        if self.stamp.is_empty() {
-            return None;
-        }
-        let (i, present) = Self::slot(&self.stamp, &self.key, self.epoch, k);
-        present.then(|| self.value[i])
-    }
-
-    /// Memoizes `k → value` (first write wins within an epoch).
-    pub fn insert(&mut self, k: u64, value: u32) {
-        if self.stamp.is_empty() || self.live * 8 >= self.stamp.len() * 7 {
-            self.grow();
-        }
-        let (i, present) = Self::slot(&self.stamp, &self.key, self.epoch, k);
-        if present {
-            return;
-        }
-        self.stamp[i] = self.epoch;
-        self.key[i] = k;
-        self.value[i] = value;
-        self.live += 1;
-    }
-
-    /// Doubles the table, re-inserting the current epoch's entries.
-    fn grow(&mut self) {
-        let cap = (self.stamp.len() * 2).max(64);
-        let old_stamp = std::mem::replace(&mut self.stamp, vec![0; cap]);
-        let old_key = std::mem::replace(&mut self.key, vec![0; cap]);
-        let old_value = std::mem::replace(&mut self.value, vec![0; cap]);
-        for ((s, k), v) in old_stamp.into_iter().zip(old_key).zip(old_value) {
-            if s == self.epoch {
-                let (i, present) = Self::slot(&self.stamp, &self.key, self.epoch, k);
-                debug_assert!(!present, "rehash re-inserts distinct keys");
-                self.stamp[i] = self.epoch;
-                self.key[i] = k;
-                self.value[i] = v;
-            }
-        }
-    }
-}
-
-/// A dense epoch-stamped set of `u128` keys (open addressing, linear
-/// probing): `O(1)` insert/test, `O(1)` reset via epoch bump, zero
-/// allocation after warm-up.
+/// As a set ([`KeyMarks::insert`] / [`KeyMarks::contains`]) it answers for
+/// composite keys what [`VertexMarks`] answers for data vertices — "was this
+/// key seen in the current epoch", e.g. the `(attach vertex, vertex label,
+/// edge label)` triple of a candidate extension or the `(transaction,
+/// image)` pair of a minimum-image column — so per-row probe deduplication
+/// never touches an ordered container.
 ///
-/// Where [`VertexMarks`] answers "was this *data vertex* seen in the current
-/// row", `KeyMarks` answers the same question for composite keys — e.g. the
-/// `(attach vertex, vertex label, edge label)` triple of a candidate
-/// extension, packed into one `u128` — so per-row probe deduplication never
-/// touches an ordered container.
+/// As a map ([`KeyMarks::insert_value`] / [`KeyMarks::get`]) it is the
+/// Stage-I joins' **pattern-pair memo**: every directed occurrence row's
+/// label sequence is fully determined by its source `(pattern, direction)`,
+/// so all join products of one source pair share one canonical key — the
+/// memo caches `(packed source pair) → (pattern slot, orientation)` so only
+/// the *first* product of a pair pays label assembly, canonicalization and
+/// the interning hash; every later product is routed to its slot by one
+/// probe of this table.
 #[derive(Debug, Clone)]
 pub struct KeyMarks {
     /// Current epoch; starts at 1 so zero-initialized stamps are unmarked.
     epoch: u32,
     stamp: Vec<u32>,
     key: Vec<u128>,
+    /// Value of each key written by [`KeyMarks::insert_value`] (zero for a
+    /// key inserted as a plain set member).
+    value: Vec<u32>,
     /// Keys inserted in the current epoch (drives the load-factor growth).
     live: usize,
 }
 
 impl Default for KeyMarks {
     fn default() -> Self {
-        KeyMarks { epoch: 1, stamp: Vec::new(), key: Vec::new(), live: 0 }
+        KeyMarks { epoch: 1, stamp: Vec::new(), key: Vec::new(), value: Vec::new(), live: 0 }
     }
 }
 
 impl KeyMarks {
-    /// Creates an empty set (the table grows on demand).
+    /// Creates an empty table (it grows on demand).
     pub fn new() -> Self {
         KeyMarks::default()
     }
 
-    /// Starts a fresh empty set: O(1) except on epoch wrap-around.
+    /// Starts a fresh empty table: O(1) except on epoch wrap-around.
     pub fn reset(&mut self) {
         if self.epoch == u32::MAX {
             self.stamp.fill(0);
@@ -479,7 +393,14 @@ impl KeyMarks {
     }
 
     /// Inserts `k`; returns `true` when it was not in the set yet.
+    #[inline]
     pub fn insert(&mut self, k: u128) -> bool {
+        self.insert_value(k, 0)
+    }
+
+    /// Maps `k` to `v` unless `k` is already present (first write wins
+    /// within an epoch); returns `true` when `k` was new.
+    pub fn insert_value(&mut self, k: u128, v: u32) -> bool {
         if self.stamp.is_empty() || self.live * 8 >= self.stamp.len() * 7 {
             self.grow();
         }
@@ -489,30 +410,40 @@ impl KeyMarks {
         }
         self.stamp[i] = self.epoch;
         self.key[i] = k;
+        self.value[i] = v;
         self.live += 1;
         true
     }
 
     /// True when `k` is in the set.
     pub fn contains(&self, k: u128) -> bool {
-        if self.stamp.is_empty() {
-            return false;
-        }
-        Self::slot(&self.stamp, &self.key, self.epoch, k).1
+        !self.stamp.is_empty() && Self::slot(&self.stamp, &self.key, self.epoch, k).1
     }
 
-    /// Doubles the table, re-inserting the current epoch's keys (growth can
-    /// strike mid-epoch, so live entries must survive the rehash).
+    /// The value `k` maps to in the current epoch, if present.
+    #[inline]
+    pub fn get(&self, k: u128) -> Option<u32> {
+        if self.stamp.is_empty() {
+            return None;
+        }
+        let (i, present) = Self::slot(&self.stamp, &self.key, self.epoch, k);
+        present.then(|| self.value[i])
+    }
+
+    /// Doubles the table, re-inserting the current epoch's entries (growth
+    /// can strike mid-epoch, so live entries must survive the rehash).
     fn grow(&mut self) {
         let cap = (self.stamp.len() * 2).max(64);
         let old_stamp = std::mem::replace(&mut self.stamp, vec![0; cap]);
         let old_key = std::mem::replace(&mut self.key, vec![0; cap]);
-        for (s, k) in old_stamp.into_iter().zip(old_key) {
+        let old_value = std::mem::replace(&mut self.value, vec![0; cap]);
+        for ((s, k), v) in old_stamp.into_iter().zip(old_key).zip(old_value) {
             if s == self.epoch {
                 let (i, present) = Self::slot(&self.stamp, &self.key, self.epoch, k);
                 debug_assert!(!present, "rehash re-inserts distinct keys");
                 self.stamp[i] = self.epoch;
                 self.key[i] = k;
+                self.value[i] = v;
             }
         }
     }
@@ -531,8 +462,10 @@ pub struct JoinScratch {
     pub vertex_labels: Vec<Label>,
     /// Reusable edge-label buffer of the combined row.
     pub edge_labels: Vec<Label>,
-    /// Pattern-pair interning memo for the Stage-I join kernels.
-    pub pair_memo: PairMemo,
+    /// Pattern-pair memo of the Stage-I join kernels: packed source pair
+    /// (high word zero) → `(slot << 1) | reversed` route, via
+    /// [`KeyMarks::insert_value`] / [`KeyMarks::get`].
+    pub pair_memo: KeyMarks,
 }
 
 impl JoinScratch {
@@ -714,6 +647,36 @@ mod tests {
             assert!(!m.insert(k * 0x1_0000_0001), "key {k} must still be present after growth");
         }
         assert!(!m.contains(999 * 0x1_0000_0001));
+    }
+
+    #[test]
+    fn key_marks_values_first_write_wins_survive_grow_and_reset() {
+        let mut m = KeyMarks::new();
+        assert_eq!(m.get(3), None);
+        assert!(m.insert_value(3, 30));
+        assert!(!m.insert_value(3, 31), "a second write of a present key is refused");
+        assert_eq!(m.get(3), Some(30));
+        // a high-word-zero pair key, as the join packs it
+        let pair = (7u128 << 32) | 9;
+        assert!(m.insert_value(pair, 79));
+        // grow the table several times mid-epoch: every value survives
+        for k in 100..600u128 {
+            assert!(m.insert_value(k << 40, k as u32));
+        }
+        assert_eq!(m.get(3), Some(30));
+        assert_eq!(m.get(pair), Some(79));
+        for k in 100..600u128 {
+            assert_eq!(m.get(k << 40), Some(k as u32));
+        }
+        // a plain set insert is a member too, and `contains` sees values
+        assert!(m.insert(5));
+        assert!(m.contains(5) && m.contains(3));
+        m.reset();
+        assert_eq!(m.get(3), None);
+        assert_eq!(m.get(pair), None);
+        assert!(!m.contains(5));
+        assert!(m.insert_value(3, 33));
+        assert_eq!(m.get(3), Some(33));
     }
 
     #[test]

@@ -19,21 +19,21 @@ use crate::graph::VertexId;
 use crate::occ_index::{KeyMarks, VertexMarks};
 use serde::{Deserialize, Serialize};
 
-/// Reusable buffers for the sort-based support computations
-/// ([`OccurrenceStore::support_with`]): one scratch per worker turns every
-/// support evaluation into in-place sorts over flat arrays — no per-row
-/// `Vec` keys, no hash sets, and (after warm-up) no allocation at all.
+/// Reusable buffers for the support kernel
+/// ([`OccurrenceStore::support_pruned`]) and the sort-based row dedup
+/// ([`OccurrenceStore::dedup_exact_with`]): one scratch per worker keeps
+/// every evaluation on flat reused arrays and an epoch-stamped table — no
+/// per-row `Vec` keys, no fresh hash sets, and (after warm-up) no allocation
+/// at all.
 #[derive(Debug, Default, Clone)]
 pub struct SupportScratch {
     /// Keep flag of each row in the exact-duplicate removal.
     lens: Vec<u32>,
-    /// Row order buffer for the duplicate removal and the transaction
-    /// count.
+    /// Row order buffer for the duplicate removal; distinct-transaction
+    /// buffer for the transaction count.
     rows: Vec<u32>,
-    /// `(transaction, image)` buffer for the MNI column counts.
-    keys: Vec<(u32, VertexId)>,
-    /// Epoch-stamped `(transaction, image)` accumulator for the σ-pruned
-    /// MNI column scans ([`OccurrenceStore::support_pruned`]).
+    /// Epoch-stamped `(transaction, image)` accumulator for the
+    /// minimum-image column scans.
     key_marks: KeyMarks,
 }
 
@@ -42,6 +42,13 @@ impl SupportScratch {
     pub fn new() -> Self {
         SupportScratch::default()
     }
+}
+
+/// The stored `u32` id of transaction `t`.  A wrapping cast would merge the
+/// rows of transactions `t` and `t + 2³²` and miscount their support.
+#[inline]
+fn transaction_id(t: usize) -> u32 {
+    u32::try_from(t).expect("transaction index overflows the u32 transaction column")
 }
 
 /// All occurrences of one pattern, in columnar (SoA) layout.
@@ -136,21 +143,25 @@ impl OccurrenceStore {
     /// Appends one occurrence.
     ///
     /// # Panics
-    /// Panics when `vertices.len()` differs from the store arity.
+    /// Panics when `vertices.len()` differs from the store arity, or when
+    /// `transaction` does not fit the `u32` transaction column.
     pub fn push_row(&mut self, transaction: usize, vertices: &[VertexId]) {
         assert_eq!(vertices.len(), self.arity, "occurrence arity mismatch");
         self.arena.extend_from_slice(vertices);
-        self.transactions.push(transaction as u32);
+        self.transactions.push(transaction_id(transaction));
     }
 
     /// Appends `base` (a parent-pattern row of `arity - 1` vertices) extended
     /// with `extra` — the arena-based extension join step: the child row is
     /// written directly into the flat column with no intermediate `Vec`.
+    ///
+    /// # Panics
+    /// Panics when `transaction` does not fit the `u32` transaction column.
     pub fn push_row_extended(&mut self, transaction: usize, base: &[VertexId], extra: VertexId) {
         debug_assert_eq!(base.len() + 1, self.arity, "extended occurrence arity mismatch");
         self.arena.extend_from_slice(base);
         self.arena.push(extra);
-        self.transactions.push(transaction as u32);
+        self.transactions.push(transaction_id(transaction));
     }
 
     /// Appends one occurrence with its vertex sequence reversed — the
@@ -158,11 +169,12 @@ impl OccurrenceStore {
     /// the arena with no intermediate `Vec`.
     ///
     /// # Panics
-    /// Panics when `vertices.len()` differs from the store arity.
+    /// Panics when `vertices.len()` differs from the store arity, or when
+    /// `transaction` does not fit the `u32` transaction column.
     pub fn push_row_reversed(&mut self, transaction: usize, vertices: &[VertexId]) {
         assert_eq!(vertices.len(), self.arity, "occurrence arity mismatch");
         self.arena.extend(vertices.iter().rev().copied());
-        self.transactions.push(transaction as u32);
+        self.transactions.push(transaction_id(transaction));
     }
 
     /// The vertex slice of row `i`.
@@ -399,86 +411,39 @@ impl OccurrenceStore {
         *self = sorted;
     }
 
-    /// Minimum-image-based (MNI) support: the minimum, over pattern
-    /// vertices, of the number of distinct data vertices the column maps to.
-    pub fn mni_support(&self) -> usize {
-        self.mni_support_with(&mut SupportScratch::new())
-    }
-
-    /// [`OccurrenceStore::mni_support`] with caller-provided scratch buffers:
-    /// each column is counted by an in-place sort of a flat
-    /// `(transaction, image)` buffer instead of a rebuilt hash set.
-    pub fn mni_support_with(&self, scratch: &mut SupportScratch) -> usize {
-        if self.is_empty() {
-            return 0;
-        }
-        let mut min = usize::MAX;
-        for p in 0..self.arity {
-            scratch.keys.clear();
-            scratch
-                .keys
-                .extend((0..self.len()).map(|i| (self.transactions[i], self.arena[i * self.arity + p])));
-            scratch.keys.sort_unstable();
-            let distinct = 1 + scratch.keys.windows(2).filter(|w| w[0] != w[1]).count();
-            min = min.min(distinct);
-        }
-        min
-    }
-
-    /// Number of distinct transactions with at least one occurrence.
-    pub fn transaction_support(&self) -> usize {
-        self.transaction_support_with(&mut SupportScratch::new())
-    }
-
-    /// [`OccurrenceStore::transaction_support`] with caller-provided scratch.
-    pub fn transaction_support_with(&self, scratch: &mut SupportScratch) -> usize {
-        if self.is_empty() {
-            return 0;
-        }
-        scratch.rows.clear();
-        scratch.rows.extend_from_slice(&self.transactions);
-        scratch.rows.sort_unstable();
-        1 + scratch.rows.windows(2).filter(|w| w[0] != w[1]).count()
-    }
-
     /// Support under the chosen measure — identical semantics to
     /// [`EmbeddingSet::support`].
     pub fn support(&self, measure: SupportMeasure) -> usize {
         self.support_with(measure, &mut SupportScratch::new())
     }
 
-    /// [`OccurrenceStore::support`] with caller-provided scratch buffers —
-    /// the form the mining hot loops use, so a support evaluation per
-    /// candidate extension costs sorts over reused flat buffers instead of a
-    /// freshly allocated hash set.
+    /// [`OccurrenceStore::support`] with caller-provided scratch buffers:
+    /// the exact value, as [`OccurrenceStore::support_pruned`] at `sigma = 0`.
     pub fn support_with(&self, measure: SupportMeasure, scratch: &mut SupportScratch) -> usize {
-        match measure {
-            SupportMeasure::MinimumImage => self.mni_support_with(scratch),
-            SupportMeasure::Transactions => self.transaction_support_with(scratch),
-        }
+        self.support_pruned(measure, 0, scratch)
     }
 
-    /// [`OccurrenceStore::support_with`] with a frequency-threshold early
-    /// exit — the Stage-I join kernels' σ-pruned evaluator, the direct-store
-    /// sibling of [`SupportBatch::support_extended_pruned`].
+    /// Support under `measure` with a frequency-threshold early exit — the
+    /// one support kernel of the store, shared by the Stage-I σ-filter and
+    /// (at `sigma = 0`) every exact read; the direct-store sibling of
+    /// [`SupportBatch::support_extended_pruned`].
     ///
     /// The returned value equals the exact support whenever that support is
     /// at least `sigma`; below `sigma` the evaluation stops at the first
     /// certificate and only promises to return *some* value `< sigma`, so a
     /// caller's `support < sigma` test decides identically to the exact
-    /// evaluation (property-tested across both measures in
-    /// `crates/graph/tests`):
+    /// evaluation (property-tested against [`EmbeddingSet::support`] across
+    /// both measures in `crates/graph/tests`):
     ///
     /// * every measure's support is bounded by the row count, so a store
     ///   with fewer than `sigma` rows is rejected without touching a single
     ///   vertex — the dominant reject shape of the join kernels, where the
     ///   row cap fires before the per-pattern dedup is even attempted;
-    /// * a minimum-image evaluation replaces the per-column sorts with
-    ///   epoch-marked counting whose running minimum starts at the row
-    ///   count: each column scan breaks the moment its distinct count
-    ///   reaches the minimum so far (it provably cannot lower it), and the
-    ///   whole evaluation bails after the first column that drops below
-    ///   `sigma`.
+    /// * a minimum-image evaluation counts each column with epoch marks and
+    ///   a running minimum that starts at the row count: each column scan
+    ///   breaks the moment its distinct count reaches the minimum so far (it
+    ///   provably cannot lower it), and the whole evaluation bails after the
+    ///   first column that drops below `sigma`.
     pub fn support_pruned(
         &self,
         measure: SupportMeasure,
@@ -490,7 +455,10 @@ impl OccurrenceStore {
         }
         match measure {
             SupportMeasure::MinimumImage => self.mni_support_pruned(sigma, scratch),
-            SupportMeasure::Transactions => self.transaction_support_with(scratch),
+            SupportMeasure::Transactions => {
+                self.distinct_transactions_into(&mut scratch.rows);
+                scratch.rows.len()
+            }
         }
     }
 
@@ -547,10 +515,12 @@ impl OccurrenceStore {
 /// per-candidate accumulators — no child store is ever materialized for a
 /// support decision, so the reject path performs no gather at all.
 ///
-/// [`SupportBatch::support_extended`] returns exactly the value of gathering
-/// `entries` into a child store ([`parent row` + optional new vertex] per
-/// entry) and calling [`OccurrenceStore::support_with`] on it, for both
-/// measures (property-tested in the mining crate).
+/// [`SupportBatch::support_extended_pruned`] at `sigma = 0` returns exactly
+/// the value of gathering `entries` into a child store ([`parent row` +
+/// optional new vertex] per entry) and measuring it with
+/// [`EmbeddingSet::support`], for both measures (property-tested in the
+/// mining crate); at any `sigma` its `support < sigma` verdict is the exact
+/// one.
 ///
 /// Candidate entry lists are additionally **frontier-compressed**: entry row
 /// ids arrive ascending, so they collapse into delta-1 runs `(start, len)`
@@ -599,76 +569,14 @@ impl SupportBatch {
 
     /// Support of the child pattern whose occurrences are `parent` row `row`
     /// (extended with vertex `w` when `adds_vertex`) for each `(row, w)` in
-    /// `entries` — byte-identical to gathering that child store and calling
-    /// [`OccurrenceStore::support_with`] on it.
-    ///
-    /// Entry row ids must be ascending (duplicates allowed), the order the
-    /// extension index stores them in.
-    pub fn support_extended(
-        &mut self,
-        parent: &OccurrenceStore,
-        measure: SupportMeasure,
-        entries: &[(u32, VertexId)],
-        adds_vertex: bool,
-    ) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        match measure {
-            SupportMeasure::Transactions => {
-                self.compress_frontier(entries);
-                self.key_marks.reset();
-                let mut distinct = 0usize;
-                for &(start, len) in &self.runs {
-                    for r in start..start + len {
-                        if self.key_marks.insert(parent.transactions[r as usize] as u128) {
-                            distinct += 1;
-                        }
-                    }
-                }
-                distinct
-            }
-            SupportMeasure::MinimumImage => {
-                self.ensure_prepared(parent);
-                self.compress_frontier(entries);
-                let mut min = usize::MAX;
-                for p in 0..self.arity {
-                    let col = &self.col_rank[p * self.rows..(p + 1) * self.rows];
-                    self.marks.reset();
-                    let mut distinct = 0usize;
-                    for &(start, len) in &self.runs {
-                        for r in start..start + len {
-                            if self.marks.mark(VertexId(col[r as usize])) {
-                                distinct += 1;
-                            }
-                        }
-                    }
-                    min = min.min(distinct);
-                }
-                if adds_vertex {
-                    // the new-vertex column: distinct (transaction, w) pairs
-                    self.key_marks.reset();
-                    let mut distinct = 0usize;
-                    for &(row, w) in entries {
-                        let key = ((parent.transactions[row as usize] as u128) << 32) | w.0 as u128;
-                        if self.key_marks.insert(key) {
-                            distinct += 1;
-                        }
-                    }
-                    min = min.min(distinct);
-                }
-                min
-            }
-        }
-    }
-
-    /// [`SupportBatch::support_extended`] with a frequency-threshold early
-    /// exit: the returned value equals the exact support whenever that
-    /// support is at least `sigma`; when it is below `sigma` the evaluation
-    /// stops at the first certificate and only promises to return *some*
-    /// value `< sigma`.  A caller's `support < sigma` test therefore decides
-    /// identically to the exact evaluation — which is all the grow engine's
-    /// frequency gate needs — at a fraction of the reject cost:
+    /// `entries`, with a frequency-threshold early exit: the returned value
+    /// equals the child's exact support whenever that support is at least
+    /// `sigma` (always, at `sigma = 0`); when it is below `sigma` the
+    /// evaluation stops at the first certificate and only promises to
+    /// return *some* value `< sigma`.  A caller's `support < sigma` test
+    /// therefore decides identically to the exact evaluation — which is all
+    /// the grow engine's frequency gate needs — at a fraction of the reject
+    /// cost:
     ///
     /// * a candidate whose entries touch fewer than `sigma` distinct parent
     ///   rows (the dominant reject shape: one row extended by many
@@ -678,6 +586,9 @@ impl SupportBatch {
     /// * a minimum-image reject stops at the first column whose distinct
     ///   count falls below `sigma` instead of walking all `arity + 1`
     ///   columns.
+    ///
+    /// Entry row ids must be ascending (duplicates allowed), the order the
+    /// extension index stores them in.
     pub fn support_extended_pruned(
         &mut self,
         parent: &OccurrenceStore,
@@ -687,22 +598,31 @@ impl SupportBatch {
         sigma: usize,
     ) -> usize {
         if entries.is_empty() {
-            return self.support_extended(parent, measure, entries, adds_vertex);
+            return 0;
         }
         self.compress_frontier(entries);
         let distinct_rows: usize = self.runs.iter().map(|&(_, len)| len as usize).sum();
         if distinct_rows < sigma {
             return distinct_rows;
         }
-        if measure != SupportMeasure::MinimumImage {
-            return self.support_extended(parent, measure, entries, adds_vertex);
+        if measure == SupportMeasure::Transactions {
+            // distinct transactions over the already-compressed runs
+            self.key_marks.reset();
+            let mut distinct = 0usize;
+            for &(start, len) in &self.runs {
+                for r in start..start + len {
+                    if self.key_marks.insert(parent.transactions[r as usize] as u128) {
+                        distinct += 1;
+                    }
+                }
+            }
+            return distinct;
         }
         self.ensure_prepared(parent);
-        // the frontier is already compressed above; `min` starts at the
-        // distinct-row count because no column can exceed it, which lets
-        // every column scan stop the moment its running count reaches the
-        // minimum so far — the column then provably cannot lower the
-        // minimum, so the final value stays exact
+        // `min` starts at the distinct-row count because no column can
+        // exceed it, which lets every column scan stop the moment its
+        // running count reaches the minimum so far — the column then
+        // provably cannot lower the minimum, so the final value stays exact
         let mut min = distinct_rows;
         for p in 0..self.arity {
             let col = &self.col_rank[p * self.rows..(p + 1) * self.rows];
@@ -724,6 +644,7 @@ impl SupportBatch {
             }
         }
         if adds_vertex {
+            // the new-vertex column: distinct (transaction, w) pairs
             self.key_marks.reset();
             let mut distinct = 0usize;
             for &(row, w) in entries {
@@ -986,15 +907,15 @@ mod tests {
         child
     }
 
-    /// Measures the gathered child store — the reference the batch must
-    /// match.
+    /// Measures the gathered child through [`EmbeddingSet::support`] — the
+    /// independent reference the batch must match.
     fn gather_and_measure(
         parent: &OccurrenceStore,
         entries: &[(u32, VertexId)],
         adds_vertex: bool,
         measure: SupportMeasure,
     ) -> usize {
-        gather(parent, entries, adds_vertex).support(measure)
+        gather(parent, entries, adds_vertex).to_embedding_set().support(measure)
     }
 
     #[test]
@@ -1011,19 +932,23 @@ mod tests {
         let closing: Vec<(u32, VertexId)> = vec![(1, VertexId(0)), (3, VertexId(0)), (4, VertexId(0))];
         let mut batch = SupportBatch::new();
         for measure in MEASURES {
-            batch.invalidate();
-            assert_eq!(
-                batch.support_extended(&parent, measure, &entries, true),
-                gather_and_measure(&parent, &entries, true, measure),
-                "new-vertex entries, measure {measure:?}"
-            );
-            batch.invalidate();
-            assert_eq!(
-                batch.support_extended(&parent, measure, &closing, false),
-                gather_and_measure(&parent, &closing, false, measure),
-                "closing-edge entries, measure {measure:?}"
-            );
-            assert_eq!(batch.support_extended(&parent, measure, &[], true), 0);
+            for (list, adds_vertex) in [(&entries, true), (&closing, false)] {
+                let exact = gather_and_measure(&parent, list, adds_vertex, measure);
+                batch.invalidate();
+                assert_eq!(
+                    batch.support_extended_pruned(&parent, measure, list, adds_vertex, 0),
+                    exact,
+                    "σ = 0 is exact, adds_vertex {adds_vertex}, measure {measure:?}"
+                );
+                for sigma in 1..=exact + 1 {
+                    let got = batch.support_extended_pruned(&parent, measure, list, adds_vertex, sigma);
+                    assert_eq!(got < sigma, exact < sigma, "σ {sigma}, measure {measure:?}");
+                    if exact >= sigma {
+                        assert_eq!(got, exact, "σ {sigma}, measure {measure:?}");
+                    }
+                }
+            }
+            assert_eq!(batch.support_extended_pruned(&parent, measure, &[], true, 0), 0);
         }
     }
 
@@ -1039,7 +964,7 @@ mod tests {
         let mut batch = SupportBatch::new();
         for measure in MEASURES {
             batch.invalidate();
-            let got = batch.support_extended(&parent, measure, &entries, true);
+            let got = batch.support_extended_pruned(&parent, measure, &entries, true, 0);
             assert_eq!(got, 1, "measure {measure:?}");
             assert_eq!(got, gather_and_measure(&parent, &entries, true, measure));
         }
@@ -1057,10 +982,17 @@ mod tests {
         let mut batch = SupportBatch::new();
         // child rows (tx 0, [0, 9]) and (tx 0, [1, 9]): the shared new
         // vertex caps the minimum image at 1
-        assert_eq!(batch.support_extended(&a, SupportMeasure::MinimumImage, &entries, true), 1);
+        assert_eq!(batch.support_extended_pruned(&a, SupportMeasure::MinimumImage, &entries, true, 0), 1);
         batch.invalidate();
         // child rows (tx 0, [5, 9]) and (tx 1, [5, 9]): distinct
         // transactions keep every column at 2
-        assert_eq!(batch.support_extended(&b, SupportMeasure::MinimumImage, &entries, true), 2);
+        assert_eq!(batch.support_extended_pruned(&b, SupportMeasure::MinimumImage, &entries, true, 0), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u32 transaction column")]
+    fn transaction_past_u32_panics_instead_of_wrapping() {
+        let mut s = OccurrenceStore::new(2);
+        s.push_row(u32::MAX as usize + 1, &v(&[0, 1]));
     }
 }

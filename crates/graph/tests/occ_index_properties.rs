@@ -100,12 +100,13 @@ proptest! {
         store in any_store(40),
         sigma in 0..12usize,
     ) {
-        // the σ-pruned evaluator must decide `support < sigma` exactly like
-        // the exact evaluator for every measure, and must return the exact
-        // value whenever that value reaches sigma
+        // the σ-pruned kernel must decide `support < sigma` exactly like the
+        // independent `EmbeddingSet` reference for every measure, and must
+        // return the exact value whenever that value reaches sigma
         let mut scratch = SupportScratch::new();
+        let reference = store.to_embedding_set();
         for measure in [SupportMeasure::MinimumImage, SupportMeasure::Transactions] {
-            let exact = store.support_with(measure, &mut scratch);
+            let exact = reference.support(measure);
             let pruned = store.support_pruned(measure, sigma, &mut scratch);
             prop_assert_eq!(pruned < sigma, exact < sigma,
                 "verdict diverges: measure {:?} sigma {} exact {} pruned {}",

@@ -46,7 +46,8 @@
 //!   source pair share one canonical key: only the first product pays label
 //!   assembly (graph-free, straight from the parents' keys),
 //!   canonicalization and the interning hash, every later product is routed
-//!   by one probe of an epoch-stamped memo;
+//!   by one probe of the scratch's epoch-stamped [`skinny_graph::KeyMarks`]
+//!   table, keyed by the packed source pair;
 //! * **count, then gather** — Algorithm 2 joins at the occurrence level and
 //!   only then checks support; here the probe pass gathers no row.  It
 //!   routes each valid product to its pattern slot, raises that slot's σ
@@ -525,14 +526,14 @@ impl<'a> DiamMine<'a> {
                         continue;
                     }
                     let pair = (source[i], source[bi]);
-                    let memo_key = ((pair.0 as u64) << 32) | pair.1 as u64;
+                    let memo_key = ((pair.0 as u128) << 32) | pair.1 as u128;
                     let route = match scratch.pair_memo.get(memo_key) {
                         Some(route) => route,
                         None => {
                             bump(&mut last, &mut tk.probe);
                             let route =
                                 route_pair(patterns, &mut chunk.keys, scratch, pair, overlap, overlap - 1);
-                            scratch.pair_memo.insert(memo_key, route);
+                            scratch.pair_memo.insert_value(memo_key, route);
                             bump(&mut last, &mut tk.intern);
                             route
                         }
@@ -979,7 +980,7 @@ impl<'a> DiamMine<'a> {
     /// and surviving patterns are measured with
     /// [`OccurrenceStore::support_pruned`], which is exact whenever the
     /// result is ≥ σ — so the kept set, and therefore the output bytes, are
-    /// identical to the exact evaluator's.
+    /// identical to an exact evaluation's.
     ///
     /// `dedup` removes duplicate occurrences first.  The mirror-pruned join
     /// passes `false`: it never materializes the reversed rediscovery of a
@@ -1022,8 +1023,11 @@ impl<'a> DiamMine<'a> {
         out
     }
 
-    /// Exact (unpruned) finalize of the reference joins: the evaluator the
-    /// pruned [`DiamMine::finalize`] is verdict-checked against.
+    /// Finalize of the reference joins: every pattern is deduplicated and
+    /// measured in full (the support kernel at σ = 0), with none of
+    /// [`DiamMine::finalize`]'s row-count pre-checks.  The kernel itself is
+    /// checked against [`skinny_graph::EmbeddingSet::support`] in the
+    /// substrate's property tests.
     fn finalize_exact(&self, patterns: Vec<PathPattern>) -> Vec<PathPattern> {
         let mut scratch = SupportScratch::new();
         let mut out: Vec<PathPattern> = patterns

@@ -317,13 +317,6 @@ impl PatternTable {
         self.slots
     }
 
-    /// Clones the patterns out of the table in first-occurrence order,
-    /// leaving the table intact (the maintained level-1 table is read
-    /// through the σ-filtering [`PatternTable::clone_frequent`] instead).
-    pub fn to_patterns(&self) -> Vec<PathPattern> {
-        self.slots.clone()
-    }
-
     /// Clones only the slots whose support reaches `sigma`, in
     /// first-occurrence order, leaving the table intact.  This is the σ-
     /// filter hoisted in front of the clone: every support measure counts
@@ -331,37 +324,25 @@ impl PatternTable {
     /// never change a slot's verdict, and the slots skipped here are exactly
     /// those the post-clone filter would discard.  It keeps each read of the
     /// maintained level-1 table (per refresh or index update) proportional
-    /// to the frequent set, not to the corpus.
+    /// to the frequent set, not to the corpus: the σ-pruned kernel rejects
+    /// the (many) sparse slots on their row count alone.
     pub fn clone_frequent(&self, sigma: usize, support: SupportMeasure) -> Vec<PathPattern> {
         let mut scratch = skinny_graph::SupportScratch::new();
-        // support never exceeds the row count under any measure, so the
-        // (many) sparse slots are rejected on length alone, no sort
         self.slots
             .iter()
-            .filter(|p| {
-                p.embeddings.len() >= sigma && p.embeddings.support_with(support, &mut scratch) >= sigma
-            })
+            .filter(|p| p.embeddings.support_pruned(support, sigma, &mut scratch) >= sigma)
             .cloned()
             .collect()
     }
 
-    /// Drops every occurrence row whose transaction fails `keep`, preserving
-    /// slot order and each slot's remaining row order.  Slots whose
-    /// occurrence list becomes empty stay interned (their rows may come back
-    /// on a later refresh), so the slot/lookup structure never changes.
-    pub fn retain_transactions(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        for slot in &mut self.slots {
-            slot.embeddings.retain_rows(|row| keep(row.transaction));
-        }
-    }
-
     /// Drops every occurrence row of the transactions in `drop` (ascending,
-    /// deduplicated), exploiting the maintained tables' per-slot transaction
-    /// order: slots without a dropped transaction are rejected by binary
-    /// search without touching a row (see
-    /// [`OccurrenceStore::remove_transactions_sorted`]).  Same result as
-    /// [`PatternTable::retain_transactions`] with a membership predicate,
-    /// at a per-slot instead of per-row cost on the clean majority.
+    /// deduplicated), preserving slot order and each slot's remaining row
+    /// order.  Slots whose occurrence list becomes empty stay interned
+    /// (their rows may come back on a later refresh), so the slot/lookup
+    /// structure never changes.  The maintained tables hold each slot's rows
+    /// in transaction order, so slots without a dropped transaction are
+    /// rejected by binary search without touching a row (see
+    /// [`OccurrenceStore::remove_transactions_sorted`]).
     pub fn remove_transactions(&mut self, drop: &[u32]) {
         for slot in &mut self.slots {
             slot.embeddings.remove_transactions_sorted(drop);
@@ -497,7 +478,7 @@ mod tests {
             table.slot_for(&vl, &el).add_occurrence(t, vec![VertexId(base), VertexId(base + 1)], false);
         }
         // Dirty transaction 1: drop its rows, re-seed them, stitch back.
-        table.retain_transactions(|t| t != 1);
+        table.remove_transactions(&[1]);
         assert_eq!(table.slots[0].embeddings.len(), 2);
         let mut partial = PatternTable::new();
         partial.slot_for(&vl, &el).add_occurrence(1, vec![VertexId(77), VertexId(78)], false);
@@ -510,20 +491,11 @@ mod tests {
         assert_eq!(table.slots[0].embeddings.row(1), &[VertexId(77), VertexId(78)]);
         // New pattern got its own slot; empty slots stay interned.
         assert_eq!(table.len(), 2);
-        table.retain_transactions(|_| false);
+        table.remove_transactions(&[0, 1]);
         assert_eq!(table.len(), 2);
-        assert!(table.slots.iter().all(|s| s.is_empty()));
-    }
-
-    #[test]
-    fn to_patterns_clones_without_consuming() {
-        let mut table = PatternTable::new();
-        table.slot_for(&[l(0), l(1)], &[l(0)]).add_occurrence(0, vec![VertexId(0), VertexId(1)], false);
-        let cloned = table.to_patterns();
-        assert_eq!(cloned.len(), 1);
-        assert_eq!(cloned[0].embeddings.len(), 1);
-        // Table still usable afterwards.
-        assert_eq!(table.len(), 1);
+        let rows: Vec<usize> = table.slots[0].embeddings.iter().map(|r| r.transaction).collect();
+        assert_eq!(rows, vec![2]);
+        assert!(table.slots[1].is_empty());
         assert!(table.heap_bytes() > 0);
     }
 

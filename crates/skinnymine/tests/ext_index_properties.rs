@@ -8,9 +8,7 @@
 //! two facts.
 
 use proptest::prelude::*;
-use skinny_graph::{
-    CsrSnapshot, Label, LabeledGraph, SupportBatch, SupportMeasure, SupportScratch, VertexId,
-};
+use skinny_graph::{CsrSnapshot, Label, LabeledGraph, SupportBatch, SupportMeasure, VertexId};
 use skinnymine::{
     DiamMine, Exploration, Extension, GrowScratch, GrownPattern, LevelGrow, MiningData, ReportMode, Seed,
     SkinnyMineConfig,
@@ -145,8 +143,8 @@ proptest! {
 
     #[test]
     fn batched_support_matches_gather_and_measure(g in any_graph(), delta in 0u32..3) {
-        // The batched multi-candidate evaluator must be byte-identical to
-        // the retained per-candidate gather_into + support_with path, for
+        // The batched multi-candidate evaluator at σ = 0 must equal the
+        // per-candidate gather_into + `EmbeddingSet::support` reference, for
         // both support measures, over every candidate of every sampled
         // pattern (siblings share one prepared parent, as in the engine).
         let data = CsrSnapshot::from_graph(&g);
@@ -154,7 +152,6 @@ proptest! {
         let grower = LevelGrow::new(MiningData::Snapshot(&data), &config);
         let mut scratch = GrowScratch::new();
         let mut batch = SupportBatch::new();
-        let mut support_scratch = SupportScratch::new();
         let mut gathered = skinny_graph::OccurrenceStore::new(0);
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
             scratch.ext.build(&pattern, &data, delta);
@@ -163,14 +160,15 @@ proptest! {
                 batch.invalidate();
                 for i in 0..table.candidate_count() {
                     let adds_vertex = !matches!(table.extension(i), Extension::ClosingEdge { .. });
-                    let batched = batch.support_extended(
+                    let batched = batch.support_extended_pruned(
                         &pattern.embeddings,
                         measure,
                         table.entries(i),
                         adds_vertex,
+                        0,
                     );
                     table.gather_into(i, &pattern.embeddings, &mut gathered);
-                    let reference = gathered.support_with(measure, &mut support_scratch);
+                    let reference = gathered.to_embedding_set().support(measure);
                     prop_assert_eq!(
                         batched,
                         reference,
@@ -188,13 +186,14 @@ proptest! {
         // The early-exiting evaluator must be *exact* for every candidate at
         // or above the threshold (the closure-jump advance compares support
         // values, not just verdicts) and may return any value below the
-        // threshold for a reject — both facts checked against the exhaustive
-        // evaluator on the same prepared parent.
+        // threshold for a reject — both facts checked against the gathered
+        // child measured by `EmbeddingSet::support`.
         let data = CsrSnapshot::from_graph(&g);
         let config = SkinnyMineConfig::new(2, delta, 1).with_report(ReportMode::All);
         let grower = LevelGrow::new(MiningData::Snapshot(&data), &config);
         let mut scratch = GrowScratch::new();
         let mut batch = SupportBatch::new();
+        let mut gathered = skinny_graph::OccurrenceStore::new(0);
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
             scratch.ext.build(&pattern, &data, delta);
             let table = &scratch.ext.table;
@@ -202,12 +201,8 @@ proptest! {
                 batch.invalidate();
                 for i in 0..table.candidate_count() {
                     let adds_vertex = !matches!(table.extension(i), Extension::ClosingEdge { .. });
-                    let exact = batch.support_extended(
-                        &pattern.embeddings,
-                        measure,
-                        table.entries(i),
-                        adds_vertex,
-                    );
+                    table.gather_into(i, &pattern.embeddings, &mut gathered);
+                    let exact = gathered.to_embedding_set().support(measure);
                     let pruned = batch.support_extended_pruned(
                         &pattern.embeddings,
                         measure,

@@ -205,7 +205,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // scratch once it has seen the row count
     let store = &len2[0].embeddings;
     let mut support_scratch = SupportScratch::new();
-    let exact = store.support_with(SupportMeasure::MinimumImage, &mut support_scratch);
+    let exact = store.support_pruned(SupportMeasure::MinimumImage, 0, &mut support_scratch);
     assert!(exact >= 1);
     let _warm = store.support_pruned(SupportMeasure::MinimumImage, exact + 1, &mut support_scratch);
     let (pruned_support_allocs, ()) = counted(|| {
@@ -284,13 +284,16 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     let mut batch = SupportBatch::new();
     for measure in measures {
         batch.invalidate();
-        assert_eq!(batch.support_extended(&pattern.embeddings, measure, entries, true), expected(measure));
+        assert_eq!(
+            batch.support_extended_pruned(&pattern.embeddings, measure, entries, true, 0),
+            expected(measure)
+        );
     }
     let (batch_allocs, ()) = counted(|| {
         for measure in measures {
             batch.invalidate();
             assert_eq!(
-                batch.support_extended(&pattern.embeddings, measure, entries, true),
+                batch.support_extended_pruned(&pattern.embeddings, measure, entries, true, 0),
                 expected(measure)
             );
         }
@@ -300,7 +303,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
         "warm batched support allocated {batch_allocs} times across 2 measures × {rows} rows — \
          rank tables and scoring scratch must be fully reused"
     );
-    // the early-exiting variant shares every buffer with the exhaustive one:
+    // the early exits share every buffer with the σ = 0 evaluation above:
     // warm evaluation at any threshold allocates nothing either
     let (pruned_allocs, ()) = counted(|| {
         for measure in measures {
@@ -318,7 +321,7 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     assert_eq!(
         pruned_allocs, 0,
         "warm pruned support allocated {pruned_allocs} times — \
-         it must reuse the exhaustive evaluator's buffers"
+         it must reuse the σ = 0 evaluation's buffers"
     );
 
     // ---- Stage II table refilter: warm advance is allocation-free -------
