@@ -32,6 +32,15 @@ impl fmt::Display for VertexId {
     }
 }
 
+/// The id of the vertex appended to a graph holding `len` vertices.
+///
+/// # Panics
+/// Panics when `len` does not fit in `u32`, so a graph past 2³² vertices
+/// fails instead of aliasing vertex ids.
+fn vertex_id(len: usize) -> u32 {
+    u32::try_from(len).expect("vertex count overflows the u32 vertex id")
+}
+
 impl From<u32> for VertexId {
     fn from(v: u32) -> Self {
         VertexId(v)
@@ -149,7 +158,7 @@ impl LabeledGraph {
 
     /// Adds a vertex with label `label` and returns its id.
     pub fn add_vertex(&mut self, label: Label) -> VertexId {
-        let id = VertexId(self.labels.len() as u32);
+        let id = VertexId(vertex_id(self.labels.len()));
         self.labels.push(label);
         self.adj.push(Vec::new());
         id
@@ -629,5 +638,12 @@ mod tests {
         assert_eq!(e.other(VertexId(1)), Some(VertexId(3)));
         assert_eq!(e.other(VertexId(3)), Some(VertexId(1)));
         assert_eq!(e.other(VertexId(7)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u32 vertex id")]
+    fn vertex_past_u32_panics_instead_of_wrapping() {
+        assert_eq!(vertex_id(u32::MAX as usize), u32::MAX);
+        vertex_id(u32::MAX as usize + 1);
     }
 }

@@ -20,6 +20,8 @@
 //!   ([`occ_index::PrefixIndex`]) and epoch-stamped scratch tables
 //!   ([`occ_index::VertexMarks`], [`occ_index::JoinScratch`]) that make the
 //!   per-row join work allocation-free;
+//! * [`hash`] — the one hasher of every hashed hot-loop table, a
+//!   composable polynomial hash ([`hash::FxHasher`]);
 //! * [`path::Path`] — simple paths with the paper's lexicographical
 //!   (Definition 2) and total (Definition 3) path orders;
 //! * [`distance`] — shortest paths, diameters and the **canonical diameter**
@@ -49,6 +51,7 @@ pub mod distance;
 pub mod embedding;
 pub mod error;
 pub mod graph;
+pub mod hash;
 pub mod io;
 pub mod iso;
 pub mod label;
@@ -74,6 +77,7 @@ pub use distance::{
 pub use embedding::{Embedding, EmbeddingSet, SupportMeasure};
 pub use error::{GraphError, GraphResult};
 pub use graph::{Edge, GraphSignature, LabeledGraph, VertexId};
+pub use hash::{FxBuild, FxHasher};
 pub use iso::{are_isomorphic, automorphism_count};
 pub use label::{Label, LabelTable};
 pub use occ_index::{

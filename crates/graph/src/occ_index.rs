@@ -15,10 +15,9 @@
 //!   vertex ids.  Resetting is an epoch bump (O(1)), so per-row distinctness
 //!   and reverse-image probes are O(k) array accesses with no clearing cost
 //!   and no per-row heap allocation.
-//! * [`KeyMarks`] — a hashed epoch-stamped set of composite `u128` keys
-//!   with an optional `u32` value per key: the support kernels' column
-//!   accumulator, the extension probes' dedup and the Stage-I joins'
-//!   pattern-pair memo.
+//! * [`KeyMarks`] — a hashed epoch-stamped set of composite `u128` keys:
+//!   the support kernels' column accumulator and the extension probes'
+//!   dedup.
 //! * [`JoinScratch`] — the per-worker bundle of reusable buffers the join
 //!   bodies thread through their row loop.
 //!
@@ -29,7 +28,7 @@
 //! counts falls out of the order preservation.
 
 use crate::graph::VertexId;
-use crate::label::Label;
+use crate::hash::hash_u128;
 use crate::occurrence::OccurrenceStore;
 
 /// A dense epoch-stamped vertex set: `O(1)` insert/test over data vertex ids,
@@ -321,41 +320,28 @@ impl PrefixIndex {
     }
 }
 
-/// A dense epoch-stamped table of `u128` keys with an optional `u32` value
-/// per key (open addressing, linear probing): `O(1)` insert/test/get,
-/// `O(1)` reset via epoch bump, zero allocation after warm-up.
+/// A dense epoch-stamped set of `u128` keys (open addressing, linear
+/// probing over [`hash_u128`] buckets): `O(1)` insert/test, `O(1)` reset via
+/// epoch bump, zero allocation after warm-up.
 ///
-/// As a set ([`KeyMarks::insert`] / [`KeyMarks::contains`]) it answers for
-/// composite keys what [`VertexMarks`] answers for data vertices — "was this
-/// key seen in the current epoch", e.g. the `(attach vertex, vertex label,
-/// edge label)` triple of a candidate extension or the `(transaction,
-/// image)` pair of a minimum-image column — so per-row probe deduplication
-/// never touches an ordered container.
-///
-/// As a map ([`KeyMarks::insert_value`] / [`KeyMarks::get`]) it is the
-/// Stage-I joins' **pattern-pair memo**: every directed occurrence row's
-/// label sequence is fully determined by its source `(pattern, direction)`,
-/// so all join products of one source pair share one canonical key — the
-/// memo caches `(packed source pair) → (pattern slot, orientation)` so only
-/// the *first* product of a pair pays label assembly, canonicalization and
-/// the interning hash; every later product is routed to its slot by one
-/// probe of this table.
+/// It answers for composite keys what [`VertexMarks`] answers for data
+/// vertices — "was this key seen in the current epoch", e.g. the `(attach
+/// vertex, vertex label, edge label)` triple of a candidate extension or the
+/// `(transaction, image)` pair of a minimum-image column — so per-row probe
+/// deduplication never touches an ordered container.
 #[derive(Debug, Clone)]
 pub struct KeyMarks {
     /// Current epoch; starts at 1 so zero-initialized stamps are unmarked.
     epoch: u32,
     stamp: Vec<u32>,
     key: Vec<u128>,
-    /// Value of each key written by [`KeyMarks::insert_value`] (zero for a
-    /// key inserted as a plain set member).
-    value: Vec<u32>,
     /// Keys inserted in the current epoch (drives the load-factor growth).
     live: usize,
 }
 
 impl Default for KeyMarks {
     fn default() -> Self {
-        KeyMarks { epoch: 1, stamp: Vec::new(), key: Vec::new(), value: Vec::new(), live: 0 }
+        KeyMarks { epoch: 1, stamp: Vec::new(), key: Vec::new(), live: 0 }
     }
 }
 
@@ -377,10 +363,9 @@ impl KeyMarks {
 
     #[inline]
     fn slot(stamp: &[u32], key: &[u128], epoch: u32, k: u128) -> (usize, bool) {
-        // multiply-fold hash of both halves; the table length is a power of two
+        // the table length is a power of two
         let mask = stamp.len() - 1;
-        let h = ((k as u64) ^ (k >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut i = (h >> 32) as usize & mask;
+        let mut i = hash_u128(k) as usize & mask;
         loop {
             if stamp[i] != epoch {
                 return (i, false);
@@ -395,12 +380,6 @@ impl KeyMarks {
     /// Inserts `k`; returns `true` when it was not in the set yet.
     #[inline]
     pub fn insert(&mut self, k: u128) -> bool {
-        self.insert_value(k, 0)
-    }
-
-    /// Maps `k` to `v` unless `k` is already present (first write wins
-    /// within an epoch); returns `true` when `k` was new.
-    pub fn insert_value(&mut self, k: u128, v: u32) -> bool {
         if self.stamp.is_empty() || self.live * 8 >= self.stamp.len() * 7 {
             self.grow();
         }
@@ -410,7 +389,6 @@ impl KeyMarks {
         }
         self.stamp[i] = self.epoch;
         self.key[i] = k;
-        self.value[i] = v;
         self.live += 1;
         true
     }
@@ -420,37 +398,25 @@ impl KeyMarks {
         !self.stamp.is_empty() && Self::slot(&self.stamp, &self.key, self.epoch, k).1
     }
 
-    /// The value `k` maps to in the current epoch, if present.
-    #[inline]
-    pub fn get(&self, k: u128) -> Option<u32> {
-        if self.stamp.is_empty() {
-            return None;
-        }
-        let (i, present) = Self::slot(&self.stamp, &self.key, self.epoch, k);
-        present.then(|| self.value[i])
-    }
-
     /// Doubles the table, re-inserting the current epoch's entries (growth
     /// can strike mid-epoch, so live entries must survive the rehash).
     fn grow(&mut self) {
         let cap = (self.stamp.len() * 2).max(64);
         let old_stamp = std::mem::replace(&mut self.stamp, vec![0; cap]);
         let old_key = std::mem::replace(&mut self.key, vec![0; cap]);
-        let old_value = std::mem::replace(&mut self.value, vec![0; cap]);
-        for ((s, k), v) in old_stamp.into_iter().zip(old_key).zip(old_value) {
+        for (s, k) in old_stamp.into_iter().zip(old_key) {
             if s == self.epoch {
                 let (i, present) = Self::slot(&self.stamp, &self.key, self.epoch, k);
                 debug_assert!(!present, "rehash re-inserts distinct keys");
                 self.stamp[i] = self.epoch;
                 self.key[i] = k;
-                self.value[i] = v;
             }
         }
     }
 }
 
-/// Per-worker scratch for the occurrence joins: one epoch-mark table plus
-/// reusable row/label buffers.  Everything is cleared by `O(1)` resets, so a
+/// Per-worker scratch for the occurrence joins: one epoch-mark table plus a
+/// reusable row buffer.  Everything is cleared by `O(1)` resets, so a
 /// join body that rejects a row touches no allocator at all.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
@@ -458,14 +424,6 @@ pub struct JoinScratch {
     pub marks: VertexMarks,
     /// Reusable combined-row buffer.
     pub row: Vec<VertexId>,
-    /// Reusable vertex-label buffer of the combined row.
-    pub vertex_labels: Vec<Label>,
-    /// Reusable edge-label buffer of the combined row.
-    pub edge_labels: Vec<Label>,
-    /// Pattern-pair memo of the Stage-I join kernels: packed source pair
-    /// (high word zero) → `(slot << 1) | reversed` route, via
-    /// [`KeyMarks::insert_value`] / [`KeyMarks::get`].
-    pub pair_memo: KeyMarks,
 }
 
 impl JoinScratch {
@@ -647,36 +605,6 @@ mod tests {
             assert!(!m.insert(k * 0x1_0000_0001), "key {k} must still be present after growth");
         }
         assert!(!m.contains(999 * 0x1_0000_0001));
-    }
-
-    #[test]
-    fn key_marks_values_first_write_wins_survive_grow_and_reset() {
-        let mut m = KeyMarks::new();
-        assert_eq!(m.get(3), None);
-        assert!(m.insert_value(3, 30));
-        assert!(!m.insert_value(3, 31), "a second write of a present key is refused");
-        assert_eq!(m.get(3), Some(30));
-        // a high-word-zero pair key, as the join packs it
-        let pair = (7u128 << 32) | 9;
-        assert!(m.insert_value(pair, 79));
-        // grow the table several times mid-epoch: every value survives
-        for k in 100..600u128 {
-            assert!(m.insert_value(k << 40, k as u32));
-        }
-        assert_eq!(m.get(3), Some(30));
-        assert_eq!(m.get(pair), Some(79));
-        for k in 100..600u128 {
-            assert_eq!(m.get(k << 40), Some(k as u32));
-        }
-        // a plain set insert is a member too, and `contains` sees values
-        assert!(m.insert(5));
-        assert!(m.contains(5) && m.contains(3));
-        m.reset();
-        assert_eq!(m.get(3), None);
-        assert_eq!(m.get(pair), None);
-        assert!(!m.contains(5));
-        assert!(m.insert_value(3, 33));
-        assert_eq!(m.get(3), Some(33));
     }
 
     #[test]

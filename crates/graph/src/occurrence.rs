@@ -51,6 +51,15 @@ fn transaction_id(t: usize) -> u32 {
     u32::try_from(t).expect("transaction index overflows the u32 transaction column")
 }
 
+/// The `u32` id of row `i` in the index sorts and rank tables.
+///
+/// # Panics
+/// Panics when `i` does not fit in `u32`, so a store past 2³² rows fails
+/// instead of aliasing row ids.
+fn row_id(i: usize) -> u32 {
+    u32::try_from(i).expect("row index overflows the u32 row id")
+}
+
 /// All occurrences of one pattern, in columnar (SoA) layout.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OccurrenceStore {
@@ -364,7 +373,7 @@ impl OccurrenceStore {
         let arity = self.arity;
         let SupportScratch { rows, lens, .. } = scratch;
         rows.clear();
-        rows.extend(0..self.len() as u32);
+        rows.extend(0..row_id(self.len()));
         lens.clear();
         lens.resize(self.len(), 1);
         {
@@ -399,7 +408,7 @@ impl OccurrenceStore {
         let arity = self.arity;
         let rows = &mut scratch.rows;
         rows.clear();
-        rows.extend(0..self.len() as u32);
+        rows.extend(0..row_id(self.len()));
         let row_of = |i: u32| &self.arena[i as usize * arity..(i as usize + 1) * arity];
         let key = |i: u32| (self.transactions[i as usize], row_of(i));
         rows.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
@@ -681,8 +690,10 @@ impl SupportBatch {
         self.col_rank.resize(arity * rows, 0);
         for p in 0..arity {
             self.rank_keys.clear();
-            self.rank_keys
-                .extend((0..rows).map(|i| (parent.transactions[i], parent.arena[i * arity + p], i as u32)));
+            self.rank_keys.extend((0..row_id(rows)).map(|i| {
+                let r = i as usize;
+                (parent.transactions[r], parent.arena[r * arity + p], i)
+            }));
             self.rank_keys.sort_unstable();
             let col = &mut self.col_rank[p * rows..(p + 1) * rows];
             let mut rank = 0u32;
@@ -994,5 +1005,12 @@ mod tests {
     fn transaction_past_u32_panics_instead_of_wrapping() {
         let mut s = OccurrenceStore::new(2);
         s.push_row(u32::MAX as usize + 1, &v(&[0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u32 row id")]
+    fn row_past_u32_panics_instead_of_wrapping() {
+        assert_eq!(row_id(u32::MAX as usize), u32::MAX);
+        row_id(u32::MAX as usize + 1);
     }
 }

@@ -41,20 +41,25 @@
 //!   every join that consumes the level at any overlap width: a join reads
 //!   the head list of its probing row's overlap start and skips partners
 //!   whose next overlap vertices differ;
-//! * a **pattern-pair memo** — a directed row's label sequence is fully
-//!   determined by its source `(pattern, direction)`, so all products of one
-//!   source pair share one canonical key: only the first product pays label
-//!   assembly (graph-free, straight from the parents' keys),
-//!   canonicalization and the interning hash, every later product is routed
-//!   by one probe of the scratch's epoch-stamped [`skinny_graph::KeyMarks`]
-//!   table, keyed by the packed source pair;
+//! * **product slots in one flat hashed key table** — a directed row's
+//!   labels are its pattern's canonical key read in the row's direction,
+//!   so a product's label sequence, either way round, is two contiguous
+//!   slices of a per-join table of directed parent labels
+//!   (`ProductLabels`).  A product is routed by one orientation test on
+//!   those slices, a key hash composed in `O(1)` from per-parent piece
+//!   hashes ([`skinny_graph::FxHasher`] composes over concatenation) and
+//!   one probe of a `KeyTable`.  A slot is that hash plus its first source
+//!   pair `(src_a, src_b, reversed)`: opening one copies no label and
+//!   allocates nothing, two slots compare by reading the parents' labels,
+//!   and the chunk slots fold into global ones by their carried hash;
 //! * **count, then gather** — Algorithm 2 joins at the occurrence level and
 //!   only then checks support; here the probe pass gathers no row.  It
 //!   routes each valid product to its pattern slot, raises that slot's σ
 //!   bound and records the product as `(row, partner, route)`.  The bound
 //!   counts rows, or under [`SupportMeasure::Transactions`] one per run of a
-//!   slot's products in one transaction.  The gather pass then materializes
-//!   only the products of slots whose bound reaches σ, and the σ-filter
+//!   slot's products in one transaction.  The gather pass then builds the
+//!   owned [`PathKey`] and store of each slot whose bound reaches σ, and
+//!   materializes only those slots' products, and the σ-filter
 //!   measures those with [`OccurrenceStore::support_pruned`].  Skipping a slot is sound because
 //!   a slot's bound is never smaller than its support: each product becomes
 //!   exactly one stored row, support never exceeds the row count under any
@@ -71,16 +76,16 @@
 
 use crate::cycle::{CyclePattern, CycleTable};
 use crate::data::MiningData;
-use crate::level_grow::phase_ticks;
-use crate::path_pattern::{PathKey, PathPattern, PatternTable};
+use crate::path_pattern::{label_hash, slot_id, KeyTable, PathKey, PathPattern, PatternTable};
 use crate::stats::{JoinPhaseStats, MiningStats};
+use skinny_graph::hash::pow;
 use skinny_graph::{
-    all_distinct_marked, disjoint_except_shared_marked, CsrGraph, CsrSnapshot, JoinScratch, Label,
+    all_distinct_marked, disjoint_except_shared_marked, CsrGraph, CsrSnapshot, FxHasher, JoinScratch, Label,
     OccurrenceStore, PrefixIndex, SupportMeasure, SupportScratch, VertexId,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Minimum transaction count before Stage-I seed enumeration shards the
 /// transaction walk across pool workers — below this the per-task dispatch
@@ -215,61 +220,9 @@ impl LadderLevel {
     }
 }
 
-/// Per-chunk join phase-tick accumulators, settled into wall-clock
-/// durations once per chunk against the chunk's own `(Instant, ticks)`
-/// calibration window — the ladder sibling of the grow engine's
-/// `PhaseTicks`.
-#[derive(Debug, Default, Clone, Copy)]
-struct JoinTicks {
-    probe: u64,
-    intern: u64,
-}
-
-impl JoinTicks {
-    /// Settles the accumulated ticks into `phases` using the chunk's own
-    /// calibration window: `wall` wall-clock elapsed over `ticks` raw ticks.
-    fn settle(self, phases: &mut JoinPhaseStats, wall: Duration, ticks: u64) {
-        let per = wall.as_secs_f64() / ticks.max(1) as f64;
-        let d = |t: u64| Duration::from_secs_f64(t as f64 * per);
-        phases.probe += d(self.probe);
-        phases.intern += d(self.intern);
-    }
-}
-
-/// Chained phase-boundary sample: adds the ticks since `last` to `bucket`
-/// and advances `last`, so each boundary is read once.
-#[inline]
-fn bump(last: &mut u64, bucket: &mut u64) {
-    let now = phase_ticks();
-    *bucket += now.wrapping_sub(*last);
-    *last = now;
-}
-
-/// Appends the label sequences of one directed parent row (its pattern's
-/// canonical key read in `rev` orientation), skipping the first `skip_v`
-/// vertex labels and `skip_e` edge labels — the graph-free label assembly of
-/// the pattern-pair memo's miss path.
-#[inline]
-fn push_directed_labels(
-    key: &PathKey,
-    rev: bool,
-    skip_v: usize,
-    skip_e: usize,
-    vertex_labels: &mut Vec<Label>,
-    edge_labels: &mut Vec<Label>,
-) {
-    if rev {
-        vertex_labels.extend(key.vertex_labels.iter().rev().skip(skip_v));
-        edge_labels.extend(key.edge_labels.iter().rev().skip(skip_e));
-    } else {
-        vertex_labels.extend_from_slice(&key.vertex_labels[skip_v..]);
-        edge_labels.extend_from_slice(&key.edge_labels[skip_e..]);
-    }
-}
-
 /// One valid join product recorded by the probe pass: the probing row, its
 /// partner row and the product's packed chunk-local route
-/// `(slot << 1) | reversed` from the pattern-pair memo.
+/// `(slot << 1) | reversed`.
 #[derive(Debug, Clone, Copy)]
 struct Product {
     row: u32,
@@ -277,55 +230,230 @@ struct Product {
     route: u32,
 }
 
+/// A product slot as the probe pass and the fold hold it: the [`label_hash`]
+/// of its canonical key and the first source pair that produced it, with
+/// that pair's orientation.  The key itself is never built here: its labels
+/// are read off the parents' keys ([`ProductLabels`]) to compare slots, and
+/// materialized only for a slot whose σ bound reaches σ.
+#[derive(Debug, Clone, Copy)]
+struct SlotSeed {
+    hash: u64,
+    src_a: u32,
+    src_b: u32,
+    reversed: bool,
+}
+
 /// What the probe pass hands the fold for one chunk of probing rows: the
-/// product pattern keys in first-product order (their stores stay empty),
-/// each slot's σ bound, the recorded products in loop order and the
+/// chunk's product slots in first-product order with the key table over
+/// them, each slot's σ bound, the recorded products in loop order and the
 /// chunk's phase breakdown.
 #[derive(Debug, Default)]
 struct ProbedChunk {
-    keys: PatternTable,
+    seeds: Vec<SlotSeed>,
+    table: KeyTable,
     bound: Vec<usize>,
     products: Vec<Product>,
     phases: JoinPhaseStats,
 }
 
-/// Interns the product pattern of the source pair `(src_a, src_b)` into its
-/// chunk-local slot of `keys` and returns the packed route
-/// `(slot << 1) | reversed` — the miss path of the pattern-pair memo.  A
-/// directed row's labels are fully determined by its packed source, so all
-/// products of one source pair share one route: only the first product
-/// assembles the directed labels (from the parents' keys — no graph
-/// lookups), canonicalizes them and pays the interning hash; later products
-/// are one memo probe.
+/// One orientation of a product's label sequence, each label kind spelled
+/// as two contiguous slices.
+#[derive(Debug, Clone, Copy)]
+struct Spelling<'l> {
+    vertex: [&'l [Label]; 2],
+    edge: [&'l [Label]; 2],
+}
+
+impl Spelling<'_> {
+    /// Lexicographic order on (vertex labels, edge labels) — the order
+    /// [`PathKey::canonical`] minimizes.
+    fn cmp(&self, other: &Spelling<'_>) -> std::cmp::Ordering {
+        fn chain([x, y]: [&[Label]; 2]) -> impl Iterator<Item = &Label> {
+            x.iter().chain(y)
+        }
+        chain(self.vertex).cmp(chain(other.vertex)).then_with(|| chain(self.edge).cmp(chain(other.edge)))
+    }
+}
+
+/// Unseeded [`FxHasher`] sums of the label pieces of one directed row
+/// source that product sequences are concatenated from.
+#[derive(Debug, Clone, Copy)]
+struct PieceHashes {
+    vertex: u64,
+    edge: u64,
+    /// The part a partner contributes: the vertex labels past the overlap
+    /// and the edge labels past its `overlap − 1` edges (`m` of each).
+    vertex_tail: u64,
+    edge_tail: u64,
+    /// The first `m` vertex and edge labels — the reversal of source
+    /// `s ^ 1`'s partner part.
+    vertex_head: u64,
+    edge_head: u64,
+}
+
+/// The unseeded [`FxHasher`] sum of `labels`.
+fn piece_hash(labels: &[Label]) -> u64 {
+    let mut h = FxHasher::with_state(0);
+    for l in labels {
+        h.add(u64::from(l.0));
+    }
+    h.raw()
+}
+
+/// The parents' label pieces of one ladder join at one overlap width, by
+/// packed row source `(pattern << 1) | direction`.
 ///
-/// A stored row's labels equal its pattern's canonical key read in the
-/// row's direction (palindromic keys read the same both ways), so the route
-/// is exactly what per-product `key_of_occurrence` + `slot_for` would have
-/// produced.
-fn route_pair(
-    patterns: &[PathPattern],
-    keys: &mut PatternTable,
-    scratch: &mut JoinScratch,
-    (src_a, src_b): (u32, u32),
-    skip_v: usize,
-    skip_e: usize,
-) -> u32 {
-    scratch.vertex_labels.clear();
-    scratch.edge_labels.clear();
-    let a = &patterns[(src_a >> 1) as usize].key;
-    let b = &patterns[(src_b >> 1) as usize].key;
-    push_directed_labels(a, src_a & 1 == 1, 0, 0, &mut scratch.vertex_labels, &mut scratch.edge_labels);
-    push_directed_labels(
-        b,
-        src_b & 1 == 1,
-        skip_v,
-        skip_e,
-        &mut scratch.vertex_labels,
-        &mut scratch.edge_labels,
-    );
-    let reversed = PathPattern::canonicalize_labels(&mut scratch.vertex_labels, &mut scratch.edge_labels);
-    let slot = keys.slot_index_for(&scratch.vertex_labels, &scratch.edge_labels);
-    slot.checked_mul(2).expect("pattern slot index overflows the packed u32 route") | reversed as u32
+/// A directed row's labels are its pattern's canonical key read in the
+/// row's direction, and source `s ^ 1` is source `s` reversed.  With `n`
+/// the parent length and `m = n + 1 − overlap` the vertices (and edges) a
+/// partner contributes, the product of sources `(a, b)` therefore spells
+/// `vertex(a) ++ vertex(b)[overlap..]` / `edge(a) ++ edge(b)[overlap − 1..]`
+/// forward and `vertex(b ^ 1)[..m] ++ vertex(a ^ 1)` /
+/// `edge(b ^ 1)[..m] ++ edge(a ^ 1)` backward: two contiguous slices per
+/// label kind either way, so orienting, comparing and materializing a
+/// product key walks no graph and copies nothing, and the per-source piece
+/// hashes compose the key's [`label_hash`] in `O(1)`.
+#[derive(Debug)]
+struct ProductLabels {
+    vertex: Vec<Label>,
+    edge: Vec<Label>,
+    pieces: Vec<PieceHashes>,
+    n: usize,
+    overlap: usize,
+    m: usize,
+    /// `K^m`, `K^(n + 1)`, `K^n` and `K^(n + m)` (the product's edge count).
+    pow_m: u64,
+    pow_n1: u64,
+    pow_n: u64,
+    pow_e: u64,
+    /// The seeded hasher's state term after the product's `n + 1 + m`
+    /// vertex labels.
+    seed_v: u64,
+}
+
+impl ProductLabels {
+    /// Spells both directions of every pattern of a nonempty level and
+    /// hashes their pieces for a join at `overlap`.
+    fn new(patterns: &[PathPattern], overlap: usize) -> Self {
+        let n = patterns[0].len();
+        let m = n + 1 - overlap;
+        let mut out = ProductLabels {
+            vertex: Vec::with_capacity(2 * patterns.len() * (n + 1)),
+            edge: Vec::with_capacity(2 * patterns.len() * n),
+            pieces: Vec::with_capacity(2 * patterns.len()),
+            n,
+            overlap,
+            m,
+            pow_m: pow(m),
+            pow_n1: pow(n + 1),
+            pow_n: pow(n),
+            pow_e: pow(n + m),
+            seed_v: FxHasher::seeded(n + 1 + m),
+        };
+        for p in patterns {
+            for reversed in [false, true] {
+                let (v0, e0) = (out.vertex.len(), out.edge.len());
+                if reversed {
+                    out.vertex.extend(p.key.vertex_labels.iter().rev());
+                    out.edge.extend(p.key.edge_labels.iter().rev());
+                } else {
+                    out.vertex.extend_from_slice(&p.key.vertex_labels);
+                    out.edge.extend_from_slice(&p.key.edge_labels);
+                }
+                let (v, e) = (&out.vertex[v0..], &out.edge[e0..]);
+                out.pieces.push(PieceHashes {
+                    vertex: piece_hash(v),
+                    edge: piece_hash(e),
+                    vertex_tail: piece_hash(&v[overlap..]),
+                    edge_tail: piece_hash(&e[overlap - 1..]),
+                    vertex_head: piece_hash(&v[..m]),
+                    edge_head: piece_hash(&e[..m]),
+                });
+            }
+        }
+        out
+    }
+
+    #[inline]
+    fn vertex(&self, s: u32) -> &[Label] {
+        let w = self.n + 1;
+        &self.vertex[s as usize * w..(s as usize + 1) * w]
+    }
+
+    #[inline]
+    fn edge(&self, s: u32) -> &[Label] {
+        &self.edge[s as usize * self.n..(s as usize + 1) * self.n]
+    }
+
+    /// The product of sources `(a, b)` spelled forward, or backward when
+    /// `reversed`.
+    #[inline]
+    fn spell(&self, a: u32, b: u32, reversed: bool) -> Spelling<'_> {
+        if reversed {
+            let (a, b) = (a ^ 1, b ^ 1);
+            Spelling {
+                vertex: [&self.vertex(b)[..self.m], self.vertex(a)],
+                edge: [&self.edge(b)[..self.m], self.edge(a)],
+            }
+        } else {
+            Spelling {
+                vertex: [self.vertex(a), &self.vertex(b)[self.overlap..]],
+                edge: [self.edge(a), &self.edge(b)[self.overlap - 1..]],
+            }
+        }
+    }
+
+    /// The canonical orientation of the product of `(a, b)` — `true` when
+    /// the backward spelling is strictly smaller — and the [`label_hash`]
+    /// of that canonical key, composed from the piece hashes.
+    #[inline]
+    fn route(&self, a: u32, b: u32) -> (bool, u64) {
+        // the end labels decide almost every orientation; only a tie there
+        // walks the spellings
+        let (head, tail) = (self.vertex(a)[0], self.vertex(b ^ 1)[0]);
+        let reversed = match tail.cmp(&head) {
+            std::cmp::Ordering::Equal => self.spell(a, b, true).cmp(&self.spell(a, b, false)).is_lt(),
+            order => order.is_lt(),
+        };
+        let (v, e) = if reversed {
+            let (pa, pb) = (&self.pieces[(a ^ 1) as usize], &self.pieces[(b ^ 1) as usize]);
+            (
+                pb.vertex_head.wrapping_mul(self.pow_n1).wrapping_add(pa.vertex),
+                pb.edge_head.wrapping_mul(self.pow_n).wrapping_add(pa.edge),
+            )
+        } else {
+            let (pa, pb) = (&self.pieces[a as usize], &self.pieces[b as usize]);
+            (
+                pa.vertex.wrapping_mul(self.pow_m).wrapping_add(pb.vertex_tail),
+                pa.edge.wrapping_mul(self.pow_m).wrapping_add(pb.edge_tail),
+            )
+        };
+        (reversed, self.seed_v.wrapping_add(v).wrapping_mul(self.pow_e).wrapping_add(e))
+    }
+
+    /// True when the canonical key of `seed` is the canonical key of the
+    /// product of `(a, b)` in orientation `reversed`.
+    #[inline]
+    fn same_key(&self, seed: &SlotSeed, a: u32, b: u32, reversed: bool) -> bool {
+        if (seed.src_a, seed.src_b, seed.reversed) == (a, b, reversed) {
+            return true;
+        }
+        let (x, y) = (self.spell(seed.src_a, seed.src_b, seed.reversed), self.spell(a, b, reversed));
+        if seed.reversed == reversed {
+            // equal orientations split at equal points: compare slice-wise
+            x.vertex == y.vertex && x.edge == y.edge
+        } else {
+            x.cmp(&y).is_eq()
+        }
+    }
+
+    /// The owned canonical key of `seed` — built only for live slots.
+    fn key(&self, seed: &SlotSeed) -> PathKey {
+        let spelled = self.spell(seed.src_a, seed.src_b, seed.reversed);
+        let key = PathKey { vertex_labels: spelled.vertex.concat(), edge_labels: spelled.edge.concat() };
+        debug_assert_eq!(label_hash(&key.vertex_labels, &key.edge_labels), seed.hash);
+        key
+    }
 }
 
 impl<'a> DiamMine<'a> {
@@ -444,8 +572,9 @@ impl<'a> DiamMine<'a> {
     /// partners whose next `k − 1` vertices differ from the suffix's, so it
     /// visits exactly the `(transaction, k-prefix)` group in global row
     /// order.  Per-row disjointness is an epoch-marked probe, products are
-    /// routed to their pattern slot by the pattern-pair memo (graph-free),
-    /// only products of slots whose σ bound reaches σ are gathered, and the
+    /// routed to their slot by one hashed probe over the parents' labels
+    /// (graph-free), only products of slots whose σ bound reaches σ are
+    /// gathered, and the
     /// σ-filter runs the pruned evaluator — a rejected row pair touches no
     /// allocator.
     pub fn merge_to_length(&self, base: &[PathPattern], target: usize) -> Vec<PathPattern> {
@@ -463,17 +592,17 @@ impl<'a> DiamMine<'a> {
     ///
     /// **Count.** The probe pass (sharded over the probing rows) runs the
     /// head probe, the mirror rule, the overlap filter and the disjointness
-    /// check, routes each valid product to its chunk-local slot through the
-    /// pattern-pair memo, bumps that slot's σ bound and records the product
-    /// as `(row, partner, route)`; it gathers no row.  The chunk tables then
-    /// fold, in chunk order, into one keyed table whose bounds are the chunk
-    /// bounds summed; each chunk table is dropped once it is mapped.
+    /// check, routes each valid product to its chunk-local slot, bumps that
+    /// slot's σ bound and records the product as `(row, partner, route)`;
+    /// it gathers no row.  The chunk slots then fold, in chunk order, into
+    /// the first chunk's, whose bounds become the chunk bounds summed.
     ///
-    /// **Gather.** One sequential walk over the recorded products, in chunk
-    /// order and then product order — exactly the sequential loop's row
-    /// order — skips every product whose slot bound is below σ and gathers
-    /// the others into their slot's store in canonical orientation.  The
-    /// live slots then go through [`DiamMine::finalize`].
+    /// **Gather.** The slots whose bound reaches σ get their owned key and
+    /// store, in slot order; one sequential walk over the recorded
+    /// products, in chunk order and then product order — exactly the
+    /// sequential loop's row order — skips every product of a dead slot and
+    /// gathers the others into their slot's store in canonical orientation.
+    /// The live slots then go through [`DiamMine::finalize`].
     fn merge_join(
         &self,
         patterns: &[PathPattern],
@@ -484,19 +613,14 @@ impl<'a> DiamMine<'a> {
         let overlap = 2 * patterns[0].len() - target + 1;
         let (occs, source, index) = (&arenas.occs, &arenas.source, &arenas.index);
         let count_transactions = matches!(self.support, SupportMeasure::Transactions);
+        let wall = Instant::now();
+        let labels = ProductLabels::new(patterns, overlap);
+        stats.join_phases.intern += wall.elapsed();
         let chunks = self.shard_rows(occs.len(), |range, scratch| {
             let wall = Instant::now();
-            let t0 = phase_ticks();
-            // memoized routes index this chunk's own slot table
-            scratch.pair_memo.reset();
             let mut chunk = ProbedChunk::default();
             // the transaction of each slot's last counted product
             let mut last_txn: Vec<usize> = Vec::new();
-            // Ticks are read only around memo misses and at the chunk end,
-            // never per partner or per product: one tick read costs about
-            // as much as a memo hit plus the product record.
-            let mut tk = JoinTicks::default();
-            let mut last = t0;
             for i in range {
                 let row = u32::try_from(i).expect("directed row id overflows the u32 product record");
                 let a = occs.row(i);
@@ -525,21 +649,15 @@ impl<'a> DiamMine<'a> {
                     if !disjoint_except_shared_marked(a, b, overlap, &mut scratch.marks) {
                         continue;
                     }
-                    let pair = (source[i], source[bi]);
-                    let memo_key = ((pair.0 as u128) << 32) | pair.1 as u128;
-                    let route = match scratch.pair_memo.get(memo_key) {
-                        Some(route) => route,
-                        None => {
-                            bump(&mut last, &mut tk.probe);
-                            let route =
-                                route_pair(patterns, &mut chunk.keys, scratch, pair, overlap, overlap - 1);
-                            scratch.pair_memo.insert_value(memo_key, route);
-                            bump(&mut last, &mut tk.intern);
-                            route
-                        }
-                    };
-                    let slot = (route >> 1) as usize;
-                    if slot == chunk.bound.len() {
+                    let (src_a, src_b) = (source[i], source[bi]);
+                    let (reversed, hash) = labels.route(src_a, src_b);
+                    let seeds = &chunk.seeds;
+                    let (slot, new) = chunk.table.intern(hash, slot_id(seeds.len()), |s| {
+                        let seed = &seeds[s as usize];
+                        seed.hash == hash && labels.same_key(seed, src_a, src_b, reversed)
+                    });
+                    if new {
+                        chunk.seeds.push(SlotSeed { hash, src_a, src_b, reversed });
                         chunk.bound.push(0);
                         last_txn.push(usize::MAX);
                     }
@@ -547,33 +665,43 @@ impl<'a> DiamMine<'a> {
                     // bounds every measure; under `Transactions` a slot
                     // counts a transaction once per run of its products,
                     // which is never fewer than its distinct transactions.
-                    if !count_transactions || last_txn[slot] != t {
-                        chunk.bound[slot] += 1;
-                        last_txn[slot] = t;
+                    let s = slot as usize;
+                    if !count_transactions || last_txn[s] != t {
+                        chunk.bound[s] += 1;
+                        last_txn[s] = t;
                     }
-                    chunk.products.push(Product { row, partner, route });
+                    let route =
+                        slot.checked_mul(2).expect("pattern slot index overflows the packed u32 route");
+                    chunk.products.push(Product { row, partner, route: route | reversed as u32 });
                 }
             }
-            bump(&mut last, &mut tk.probe);
-            tk.settle(&mut chunk.phases, wall.elapsed(), phase_ticks().wrapping_sub(t0));
+            chunk.phases.probe = wall.elapsed();
             chunk
         });
 
-        // fold the chunk slot tables, in chunk order, into one
+        // Fold the chunk slots, in chunk order, into the first chunk's table:
+        // a later chunk's slot finds its global slot by its carried hash and
+        // a label comparison, and only a slot no earlier chunk holds is
+        // appended.  A single chunk (every sequential join) folds nothing.
         let wall = Instant::now();
-        let mut keys = PatternTable::new();
-        let mut bound: Vec<usize> = Vec::new();
-        let mut routed = Vec::with_capacity(chunks.len());
+        let mut chunks = chunks.into_iter();
+        let first = chunks.next().expect("the probe pass yields at least one chunk");
+        stats.join_phases.merge(&first.phases);
+        let (mut seeds, mut bound, mut table) = (first.seeds, first.bound, first.table);
+        let mut routed = vec![(None, first.products)];
         for chunk in chunks {
             stats.join_phases.merge(&chunk.phases);
             let to_global: Vec<u32> = chunk
-                .keys
-                .into_patterns()
-                .into_iter()
+                .seeds
+                .iter()
                 .zip(&chunk.bound)
-                .map(|(p, &b)| {
-                    let g = keys.absorb(p);
-                    if g as usize == bound.len() {
+                .map(|(seed, &b)| {
+                    let (g, new) = table.intern(seed.hash, slot_id(seeds.len()), |g| {
+                        let held = &seeds[g as usize];
+                        held.hash == seed.hash && labels.same_key(held, seed.src_a, seed.src_b, seed.reversed)
+                    });
+                    if new {
+                        seeds.push(*seed);
                         bound.push(0);
                     }
                     // a transaction split across chunks counts once per
@@ -582,33 +710,44 @@ impl<'a> DiamMine<'a> {
                     g
                 })
                 .collect();
-            routed.push((to_global, chunk.products));
+            routed.push((Some(to_global), chunk.products));
         }
         stats.join_phases.intern += wall.elapsed();
 
-        // gather the live products in chunk order, then product order
+        // build the keys and stores of the live slots, then gather their
+        // products in chunk order, then product order
         let wall = Instant::now();
+        let mut live = Vec::new();
+        let live_of: Vec<u32> = seeds
+            .iter()
+            .zip(&bound)
+            .map(|(seed, &b)| {
+                if b < self.sigma {
+                    return u32::MAX;
+                }
+                live.push(PathPattern::new(labels.key(seed)));
+                slot_id(live.len() - 1)
+            })
+            .collect();
         let mut skipped = 0u64;
         let mut row = Vec::new();
         for (to_global, products) in routed {
             for p in products {
-                let g = to_global[(p.route >> 1) as usize];
-                if bound[g as usize] < self.sigma {
+                let slot = p.route >> 1;
+                let g = to_global.as_ref().map_or(slot, |m: &Vec<u32>| m[slot as usize]);
+                let Some(pattern) = live.get_mut(live_of[g as usize] as usize) else {
                     skipped += 1;
                     continue;
-                }
+                };
                 let (i, bi) = (p.row as usize, p.partner as usize);
                 row.clear();
                 row.extend_from_slice(occs.row(i));
                 row.extend_from_slice(&occs.row(bi)[overlap..]);
-                keys.slot_mut(g).add_occurrence_slice(occs.transaction(i), &row, p.route & 1 == 1);
+                pattern.add_occurrence_slice(occs.transaction(i), &row, p.route & 1 == 1);
             }
         }
-        let mut live = keys.into_patterns();
-        let mut bounds = bound.iter();
-        live.retain(|_| bounds.next().is_some_and(|&b| b >= self.sigma));
         stats.join_rows_pruned += skipped;
-        stats.join_products_rejected_sigma += (bound.len() - live.len()) as u64;
+        stats.join_products_rejected_sigma += (seeds.len() - live.len()) as u64;
         stats.join_phases.gather += wall.elapsed();
         self.finalize(live, stats, false)
     }

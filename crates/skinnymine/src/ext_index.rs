@@ -60,9 +60,10 @@
 //! rebuilt-in-place hash maps and all buffers are reused across patterns.
 
 use crate::grown::{Extension, GrownPattern};
-use skinny_graph::{CsrSnapshot, GroupSorter, KeyMarks, Label, OccurrenceStore, VertexId, VertexSlots};
+use skinny_graph::{
+    CsrSnapshot, FxBuild, GroupSorter, KeyMarks, Label, OccurrenceStore, VertexId, VertexSlots,
+};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Attachment degree up to which *all* multi-edge subsets are enumerated;
 /// beyond it only the full attachment set is tried (2^k subsets would
@@ -73,54 +74,6 @@ pub const FULL_SUBSET_DEGREE: usize = 6;
 /// One supporting entry of a candidate: the occurrence row id and, for
 /// new-vertex candidates, the attachment data vertex that extends it.
 pub type ExtEntry = (u32, VertexId);
-
-/// A fast multiply-rotate hasher for the small interning keys of the sweep
-/// (extension descriptors); collisions are resolved by the map, so the only
-/// requirement is speed on few-word inputs.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut v = [0u8; 8];
-            v[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(v));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// The inverted candidate index of one grown pattern: every candidate
 /// extension of the pattern, each with the ordered list of supporting
@@ -260,6 +213,9 @@ pub struct ExtensionScratch {
     entries2: Vec<ExtEntry>,
     /// Double buffer for the refiltered offsets.
     offsets2: Vec<u32>,
+    /// Per-candidate entry count of a build, then its table id (`u32::MAX`
+    /// for a candidate below σ).
+    live: Vec<u32>,
 }
 
 impl ExtensionScratch {
@@ -270,10 +226,23 @@ impl ExtensionScratch {
 
     /// Sweeps `pattern`'s embeddings once and (re)builds
     /// [`ExtensionScratch::table`]: every candidate extension of `pattern`
-    /// in the data, inverted to its supporting rows.  The candidate set and
-    /// order equal the reference enumeration's `BTreeSet`; the entry lists
-    /// equal the reference re-scan output.
-    pub fn build(&mut self, pattern: &GrownPattern, data: &CsrSnapshot, delta: u32) {
+    /// in the data with at least `sigma` supporting entries, inverted to its
+    /// supporting rows, and returns how many candidates fell below `sigma`.
+    /// The kept candidates and their order equal the reference
+    /// enumeration's `BTreeSet` filtered to `≥ sigma` entries (all of it at
+    /// `sigma ≤ 1`); the entry lists equal the reference re-scan output.
+    ///
+    /// A dropped candidate is never built into the table, scattered or
+    /// sorted.  That is sound for the whole life of the table, refilters
+    /// included: an entry count is the child's exact row count, which bounds
+    /// its support under every measure, so the candidate is infrequent now.
+    /// A [`ExtensionScratch::refilter`] can raise a candidate's entry count —
+    /// one old row fans out to every advanced row derived from it — but the
+    /// child of the advanced pattern still takes its images of the original
+    /// pattern vertices, and its transactions, from those fewer than `sigma`
+    /// old rows, so its minimum-image and transaction support stay below
+    /// `sigma` and the evaluation would reject it as infrequent.
+    pub fn build(&mut self, pattern: &GrownPattern, data: &CsrSnapshot, delta: u32, sigma: usize) -> usize {
         self.intern_fixed.clear();
         self.intern_multi.clear();
         self.keys.clear();
@@ -295,7 +264,7 @@ impl ExtensionScratch {
         self.allow_new.clear();
         self.allow_new.extend(pattern.level.iter().map(|&lvl| lvl < delta));
         self.sweep(pattern, data);
-        self.finalize();
+        self.finalize(sigma)
     }
 
     /// Rewrites the table's entry lists after the pattern it indexes is
@@ -457,10 +426,12 @@ impl ExtensionScratch {
         }
     }
 
-    /// Interns the packed sweep keys into dense group ids, drains the intern
-    /// maps into the table, settles the oversized-run extras and scatters the
-    /// items into per-candidate entry lists with one grouping-kernel pass.
-    fn finalize(&mut self) {
+    /// Interns the packed sweep keys into dense group ids, settles the
+    /// oversized-run extras, drops the groups with fewer than `sigma` items,
+    /// drains the surviving candidates into the table and scatters their
+    /// items into per-candidate entry lists with one grouping-kernel pass;
+    /// returns the number of dropped candidates.
+    fn finalize(&mut self, sigma: usize) -> usize {
         // Flat interning pass over the packed keys (the sweep deferred all
         // grouping): fixed-size candidates get first-occurrence ids 0..F,
         // multi candidates were already interned per run and are re-based to
@@ -493,20 +464,11 @@ impl ExtensionScratch {
             }
         }
         let ncands = (nfixed as usize) + self.intern_multi.len();
-        let table = &mut self.table;
-        table.cands.clear();
-        table.cands.resize(ncands, Extension::ClosingEdge { u: 0, v: 0, edge_label: Label(0) });
-        for (key, c) in self.intern_fixed.drain() {
-            table.cands[c as usize] = unpack_fixed(key);
-        }
-        for (ext, m) in self.intern_multi.drain() {
-            table.cands[(nfixed + m) as usize] = ext;
-        }
         // oversized runs: every strict-subset multi candidate of a run owes
         // that run's row an entry (rare — most sweeps record none)
         self.extras.clear();
         if !self.over_runs.is_empty() {
-            for (c, ext) in table.cands.iter().enumerate() {
+            for (ext, &m) in &self.intern_multi {
                 let Extension::NewVertexMulti { vertex_label, edges } = ext else {
                     continue;
                 };
@@ -515,7 +477,7 @@ impl ExtensionScratch {
                         continue;
                     }
                     if is_sorted_subset(edges, &self.over_edges[lo as usize..hi as usize]) {
-                        self.extras.push((c as u32, row, w));
+                        self.extras.push((nfixed + m, row, w));
                     }
                 }
             }
@@ -524,12 +486,59 @@ impl ExtensionScratch {
                 self.entry_of_item.push((row, w));
             }
         }
+        // σ bound before building: `live[c]` becomes candidate c's id in the
+        // table, or `u32::MAX` when its entry count is below σ (every
+        // candidate has an item, so at σ ≤ 1 this is the identity)
+        self.live.clear();
+        self.live.resize(ncands, 0);
+        for &g in &self.group_of_item {
+            self.live[g as usize] += 1;
+        }
+        let mut nlive = 0;
+        for c in &mut self.live {
+            *c = if *c as usize >= sigma {
+                nlive += 1;
+                nlive as u32 - 1
+            } else {
+                u32::MAX
+            };
+        }
+        if nlive < ncands {
+            let mut kept = 0;
+            for k in 0..self.group_of_item.len() {
+                let g = self.live[self.group_of_item[k] as usize];
+                if g != u32::MAX {
+                    self.group_of_item[kept] = g;
+                    self.entry_of_item[kept] = self.entry_of_item[k];
+                    kept += 1;
+                }
+            }
+            self.group_of_item.truncate(kept);
+            self.entry_of_item.truncate(kept);
+            for extra in &mut self.extras {
+                extra.0 = self.live[extra.0 as usize];
+            }
+            self.extras.retain(|extra| extra.0 != u32::MAX);
+        }
+        let table = &mut self.table;
+        table.cands.clear();
+        table.cands.resize(nlive, Extension::ClosingEdge { u: 0, v: 0, edge_label: Label(0) });
+        for (key, c) in self.intern_fixed.drain() {
+            if let Some(cand) = table.cands.get_mut(self.live[c as usize] as usize) {
+                *cand = unpack_fixed(key);
+            }
+        }
+        for (ext, m) in self.intern_multi.drain() {
+            if let Some(cand) = table.cands.get_mut(self.live[(nfixed + m) as usize] as usize) {
+                *cand = ext;
+            }
+        }
         // One histogram+scatter pass moves every (row, vertex) entry straight
         // into its grouped position — no order indirection, no per-entry push.
         self.sorter.scatter_by_group(
             &self.group_of_item,
             &self.entry_of_item,
-            ncands,
+            nlive,
             &mut table.offsets,
             &mut table.entries,
         );
@@ -546,9 +555,10 @@ impl ExtensionScratch {
             }
         }
         table.sorted.clear();
-        table.sorted.extend(0..ncands as u32);
+        table.sorted.extend(0..nlive as u32);
         let cands = &table.cands;
         table.sorted.sort_unstable_by(|&a, &b| cands[a as usize].cmp(&cands[b as usize]));
+        ncands - nlive
     }
 }
 
@@ -656,7 +666,7 @@ mod tests {
         let data = CsrSnapshot::from_graph(&g);
         let pattern = seed_pattern();
         let mut scratch = ExtensionScratch::new();
-        scratch.build(&pattern, &data, 2);
+        scratch.build(&pattern, &data, 2, 0);
         let table = &scratch.table;
         // candidates: the twig NewVertex (both rows) and the chord closing
         // edge (row 0 only)
@@ -678,7 +688,7 @@ mod tests {
         let data = CsrSnapshot::from_graph(&g);
         let pattern = seed_pattern();
         let mut scratch = ExtensionScratch::new();
-        scratch.build(&pattern, &data, 2);
+        scratch.build(&pattern, &data, 2, 0);
         for i in 0..scratch.table.candidate_count() {
             let ext = scratch.table.extension(i).clone();
             let gathered = scratch.table.gather(i, &pattern.embeddings);
@@ -693,11 +703,11 @@ mod tests {
         let data = CsrSnapshot::from_graph(&g);
         let pattern = seed_pattern();
         let mut scratch = ExtensionScratch::new();
-        scratch.build(&pattern, &data, 0);
+        scratch.build(&pattern, &data, 0, 0);
         assert_eq!(scratch.table.candidate_count(), 1);
         assert!(matches!(scratch.table.extension(0), Extension::ClosingEdge { .. }));
         // scratch reuse: rebuilding with delta 2 restores the twig
-        scratch.build(&pattern, &data, 2);
+        scratch.build(&pattern, &data, 2, 0);
         assert_eq!(scratch.table.candidate_count(), 2);
     }
 
@@ -728,7 +738,7 @@ mod tests {
         p.add_occurrence(0, (base..base + 8).map(VertexId).collect(), false);
         let pattern = GrownPattern::from_path_pattern(&p);
         let mut scratch = ExtensionScratch::new();
-        scratch.build(&pattern, &data, 2);
+        scratch.build(&pattern, &data, 2, 0);
         let table = &scratch.table;
         let mut checked_subset = false;
         for i in 0..table.candidate_count() {

@@ -386,7 +386,8 @@ impl<'a> LevelGrow<'a> {
             };
         if !self.reference {
             let t = phase_ticks();
-            ext.build(pattern, &self.data, self.config.delta);
+            stats.pruned_support_bound +=
+                ext.build(pattern, &self.data, self.config.delta, self.config.sigma) as u64;
             batch.invalidate();
             ticks.candidates += phase_ticks().wrapping_sub(t);
             let count = ext.table.candidate_count();

@@ -8,9 +8,8 @@
 //! representation, and each undirected occurrence is stored exactly once.
 
 use serde::{Deserialize, Serialize};
-use skinny_graph::{GraphView, Label, LabeledGraph, OccurrenceStore, SupportMeasure, VertexId};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use skinny_graph::hash::spread;
+use skinny_graph::{FxHasher, GraphView, Label, LabeledGraph, OccurrenceStore, SupportMeasure, VertexId};
 
 /// True when the reversed orientation of `(vertex_labels, edge_labels)` is
 /// strictly smaller than the forward one — the canonical-orientation test,
@@ -159,40 +158,114 @@ impl PathPattern {
             .collect();
         PathKey::canonical(vlabels, elabels)
     }
+}
 
-    /// Canonicalizes already-assembled directed label sequences in place —
-    /// the graph-free tail of [`PathPattern::key_of_occurrence`], used by
-    /// the join kernels' pattern-pair memo where the directed labels are
-    /// assembled from the parents' canonical keys instead of looked up in the
-    /// graph.  Returns whether the input orientation reads reversed relative
-    /// to the canonical result.
-    pub fn canonicalize_labels(vertex_labels: &mut [Label], edge_labels: &mut [Label]) -> bool {
-        let reversed = reversed_is_smaller(vertex_labels, edge_labels);
-        if reversed {
-            vertex_labels.reverse();
-            edge_labels.reverse();
+/// The raw [`FxHasher`] state of a label sequence: the vertex labels, then
+/// the edge labels.  Over a canonical key it is the key's hash in every
+/// Stage-I table; the ladder join composes the same value from per-parent
+/// piece hashes without walking the labels.
+pub(crate) fn label_hash(vertex_labels: &[Label], edge_labels: &[Label]) -> u64 {
+    let mut h = FxHasher::default();
+    for l in vertex_labels.iter().chain(edge_labels) {
+        h.add(u64::from(l.0));
+    }
+    h.raw()
+}
+
+/// The dense id of the slot appended after `len` existing ones.
+///
+/// # Panics
+/// Panics when `len` reaches `u32::MAX`: a [`KeyTable`] bucket stores the
+/// id plus one in 32 bits, so a larger table would alias slots.
+pub(crate) fn slot_id(len: usize) -> u32 {
+    u32::try_from(len).ok().filter(|&id| id < u32::MAX).expect("pattern slot id overflows the u32 key table")
+}
+
+/// The one flat hashed key table of Stage I: an open-addressing index from
+/// 64-bit key hashes to dense slot ids.
+///
+/// Each bucket is one `u64`: the top 32 bits of the [`spread`] hash and
+/// `slot + 1` (zero marks an empty bucket).  Probing is linear from the
+/// bucket the hash's top bits select; the table doubles at half load and
+/// re-places every bucket from its own stored bits, so growing never
+/// re-hashes a key and no bucket owns a heap allocation.  Key equality is
+/// the caller's: a probe offers every slot whose stored bits match to an
+/// `eq` closure, so the keys themselves can live anywhere — owned
+/// [`PathKey`]s in a [`PatternTable`], or, in the ladder join, the parents'
+/// label sequences a product slot is read off.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyTable {
+    buckets: Vec<u64>,
+    len: usize,
+}
+
+impl KeyTable {
+    /// The bucket a stored tag starts probing at in a table of `2^bits`.
+    #[inline]
+    fn start(tag: u32, bits: u32) -> usize {
+        (tag as usize) >> (32 - bits)
+    }
+
+    /// The slot of the key hashing to `hash` for which `eq` holds, or —
+    /// when there is none — `next`, inserted; the flag is `true` for an
+    /// insert.  The caller appends slot `next` exactly when it is inserted.
+    #[inline]
+    pub(crate) fn intern(&mut self, hash: u64, next: u32, mut eq: impl FnMut(u32) -> bool) -> (u32, bool) {
+        if (self.len + 1) * 2 > self.buckets.len() {
+            self.grow();
         }
-        reversed
+        let tag = (spread(hash) >> 32) as u32;
+        let mask = self.buckets.len() - 1;
+        let mut i = Self::start(tag, self.buckets.len().trailing_zeros());
+        loop {
+            let bucket = self.buckets[i];
+            if bucket == 0 {
+                self.buckets[i] = (u64::from(tag) << 32) | u64::from(next + 1);
+                self.len += 1;
+                return (next, true);
+            }
+            if (bucket >> 32) as u32 == tag && eq(bucket as u32 - 1) {
+                return (bucket as u32 - 1, false);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the bucket array, re-placing each bucket by its stored tag.
+    fn grow(&mut self) {
+        let cap = (self.buckets.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.buckets, vec![0; cap]);
+        let (bits, mask) = (cap.trailing_zeros(), cap - 1);
+        for bucket in old.into_iter().filter(|&b| b != 0) {
+            let mut i = Self::start((bucket >> 32) as u32, bits);
+            while self.buckets[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.buckets[i] = bucket;
+        }
+    }
+
+    /// Heap footprint of the buckets in bytes.
+    fn heap_bytes(&self) -> usize {
+        self.buckets.capacity() * std::mem::size_of::<u64>()
     }
 }
 
-/// An interning pattern table — the accumulator of the Stage-I occurrence
-/// joins.
+/// An interning pattern table — the level-1 accumulator of Stage I (the
+/// seed walk, its shard merge and the maintained table of
+/// `StageOne`).
 ///
-/// Patterns occupy dense slots in **sequential first-occurrence order**, and
-/// the hot-path lookup is two-phase: a hash computed over *borrowed* label
-/// slices selects a small candidate bucket, and a full label comparison picks
-/// the slot.  A join row therefore never clones a [`PathKey`] and never
-/// rehashes an owned key — the only allocations happen when a *new* pattern
-/// is first seen, so the join's allocation volume is proportional to emitted
-/// patterns, not scanned rows.
+/// Patterns occupy dense slots in **sequential first-occurrence order**,
+/// indexed by a `KeyTable` over the key's label hash: a lookup over *borrowed*
+/// label slices is one hash and one probe, a full label comparison confirms
+/// the slot, and only a *new* pattern allocates (its key and its store).
+/// Merging another table moves its patterns in, rows and keys alike.
 #[derive(Debug, Clone, Default)]
 pub struct PatternTable {
     /// Patterns in first-occurrence order.
     slots: Vec<PathPattern>,
-    /// Label-sequence hash → candidate slot indices (collisions resolved by
-    /// a full label comparison).
-    lookup: HashMap<u64, Vec<u32>>,
+    /// Key hash → slot index.
+    lookup: KeyTable,
 }
 
 impl PatternTable {
@@ -211,83 +284,46 @@ impl PatternTable {
         self.slots.is_empty()
     }
 
-    fn hash_labels(vertex_labels: &[Label], edge_labels: &[Label]) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        vertex_labels.hash(&mut h);
-        edge_labels.hash(&mut h);
-        h.finish()
+    /// The slot index of the canonical key given as borrowed label slices,
+    /// and whether it is new — in which case the caller pushes its pattern.
+    fn locate(&mut self, vertex_labels: &[Label], edge_labels: &[Label]) -> (usize, bool) {
+        let slots = &self.slots;
+        let (i, new) =
+            self.lookup.intern(label_hash(vertex_labels, edge_labels), slot_id(slots.len()), |i| {
+                let key = &slots[i as usize].key;
+                key.vertex_labels == vertex_labels && key.edge_labels == edge_labels
+            });
+        (i as usize, new)
     }
 
     /// The pattern slot of the canonical key given as borrowed label slices,
     /// created empty on first occurrence (the only point that allocates).
     pub fn slot_for(&mut self, vertex_labels: &[Label], edge_labels: &[Label]) -> &mut PathPattern {
-        let idx = self.slot_index_for(vertex_labels, edge_labels);
-        &mut self.slots[idx as usize]
-    }
-
-    /// Like [`PatternTable::slot_for`], but returns the dense slot *index* —
-    /// the stable handle the join kernels' pattern-pair memo caches so later
-    /// products of the same source pair skip the label hash and bucket scan
-    /// entirely ([`PatternTable::slot_mut`] turns it back into the pattern).
-    pub fn slot_index_for(&mut self, vertex_labels: &[Label], edge_labels: &[Label]) -> u32 {
-        let h = Self::hash_labels(vertex_labels, edge_labels);
-        match self.find(h, vertex_labels, edge_labels) {
-            Some(i) => i,
-            None => self.push_slot(
-                h,
-                PathPattern::new(PathKey {
-                    vertex_labels: vertex_labels.to_vec(),
-                    edge_labels: edge_labels.to_vec(),
-                }),
-            ),
+        let (i, new) = self.locate(vertex_labels, edge_labels);
+        if new {
+            self.slots.push(PathPattern::new(PathKey {
+                vertex_labels: vertex_labels.to_vec(),
+                edge_labels: edge_labels.to_vec(),
+            }));
         }
+        &mut self.slots[i]
     }
 
-    /// The slot of the key with label hash `h`, if interned.
-    fn find(&self, h: u64, vertex_labels: &[Label], edge_labels: &[Label]) -> Option<u32> {
-        self.lookup.get(&h).and_then(|bucket| {
-            bucket.iter().copied().find(|&i| {
-                let key = &self.slots[i as usize].key;
-                key.vertex_labels.as_slice() == vertex_labels && key.edge_labels.as_slice() == edge_labels
-            })
-        })
-    }
-
-    /// Appends `pattern` as a new slot under label hash `h`.
-    fn push_slot(&mut self, h: u64, pattern: PathPattern) -> u32 {
-        let idx = u32::try_from(self.slots.len()).expect("pattern slot index overflows u32");
-        self.slots.push(pattern);
-        self.lookup.entry(h).or_default().push(idx);
-        idx
-    }
-
-    /// Interns `pattern` by its key and returns its slot index: an unseen
-    /// key moves the whole pattern in as a new slot (no key copy), a known
-    /// key appends the pattern's rows to its slot.
-    pub(crate) fn absorb(&mut self, pattern: PathPattern) -> u32 {
-        let h = Self::hash_labels(&pattern.key.vertex_labels, &pattern.key.edge_labels);
-        match self.find(h, &pattern.key.vertex_labels, &pattern.key.edge_labels) {
-            Some(i) => {
-                let slot = &mut self.slots[i as usize];
-                if slot.embeddings.is_empty() {
-                    *slot = pattern;
-                } else {
-                    slot.embeddings.append(pattern.embeddings);
-                }
-                i
-            }
-            None => self.push_slot(h, pattern),
+    /// Interns `pattern` by its key: an unseen key moves the whole pattern
+    /// in as a new slot (no key copy), a known key with rows combines the
+    /// pattern's rows into its slot with `combine`.
+    fn absorb(&mut self, pattern: PathPattern, combine: fn(&mut OccurrenceStore, OccurrenceStore)) {
+        let (i, new) = self.locate(&pattern.key.vertex_labels, &pattern.key.edge_labels);
+        if new {
+            self.slots.push(pattern);
+            return;
         }
-    }
-
-    /// The pattern at dense slot `i` (as handed out by
-    /// [`PatternTable::slot_index_for`]).
-    ///
-    /// # Panics
-    /// Panics when `i` is not a live slot index of this table.
-    #[inline]
-    pub fn slot_mut(&mut self, i: u32) -> &mut PathPattern {
-        &mut self.slots[i as usize]
+        let slot = &mut self.slots[i];
+        if slot.embeddings.is_empty() {
+            *slot = pattern;
+        } else {
+            combine(&mut slot.embeddings, pattern.embeddings);
+        }
     }
 
     /// Merges `other` into this table **in `other`'s slot order**, appending
@@ -296,7 +332,7 @@ impl PatternTable {
     /// sequential run.
     pub fn merge(&mut self, other: PatternTable) {
         for pattern in other.slots {
-            self.absorb(pattern);
+            self.absorb(pattern, OccurrenceStore::append);
         }
     }
 
@@ -356,18 +392,13 @@ impl PatternTable {
     /// slot, which holds for tables produced by transaction-ascending seeding.
     pub fn merge_by_transaction(&mut self, other: PatternTable) {
         for pattern in other.slots {
-            let slot = self.slot_for(&pattern.key.vertex_labels, &pattern.key.edge_labels);
-            if slot.embeddings.is_empty() {
-                *slot = pattern;
-            } else {
-                slot.embeddings.merge_by_transaction(pattern.embeddings);
-            }
+            self.absorb(pattern, OccurrenceStore::merge_by_transaction);
         }
     }
 
     /// Heap footprint of the table in bytes: every slot's key labels and
-    /// occurrence arena plus the lookup buckets (capacity-based, mirroring
-    /// `CsrSnapshot::heap_bytes`).
+    /// occurrence arena plus the key table's buckets (capacity-based,
+    /// mirroring `CsrSnapshot::heap_bytes`).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let slots: usize = self
@@ -379,9 +410,7 @@ impl PatternTable {
                     + p.embeddings.heap_bytes()
             })
             .sum();
-        let buckets: usize =
-            self.lookup.values().map(|b| b.capacity() * size_of::<u32>() + size_of::<u64>()).sum();
-        slots + self.slots.capacity() * size_of::<PathPattern>() + buckets
+        slots + self.slots.capacity() * size_of::<PathPattern>() + self.lookup.heap_bytes()
     }
 }
 
@@ -507,5 +536,38 @@ mod tests {
         assert!(reversed);
         assert_eq!(key.vertex_labels, vec![l(3), l(1), l(5)]);
         assert_eq!(key.edge_labels, vec![l(4), l(9)]);
+    }
+
+    #[test]
+    fn key_table_tells_colliding_keys_apart_and_keeps_slots_through_growth() {
+        // 300 distinct keys over 5 hashes: only `eq` separates them
+        let keys: Vec<u64> = (0..300).map(|k| k * 7919).collect();
+        let mut table = KeyTable::default();
+        for (i, &k) in keys.iter().enumerate() {
+            let (slot, new) = table.intern(k % 5, slot_id(i), |s| keys[s as usize] == k);
+            assert_eq!((slot, new), (i as u32, true));
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(
+                table.intern(k % 5, slot_id(keys.len()), |s| keys[s as usize] == k),
+                (i as u32, false)
+            );
+        }
+        assert!(table.heap_bytes() >= 2 * keys.len() * 8, "the table stays at most half full");
+    }
+
+    #[test]
+    fn label_hash_is_a_function_of_the_label_sequence() {
+        let h = label_hash(&[l(1), l(2)], &[l(3)]);
+        assert_eq!(h, label_hash(&[l(1), l(2)], &[l(3)]));
+        assert_ne!(h, label_hash(&[l(1), l(3)], &[l(2)]));
+        assert_ne!(label_hash(&[l(0), l(0)], &[l(0)]), label_hash(&[l(0)], &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u32 key table")]
+    fn slot_id_past_u32_panics_instead_of_wrapping() {
+        assert_eq!(slot_id(u32::MAX as usize - 1), u32::MAX - 1);
+        slot_id(u32::MAX as usize);
     }
 }

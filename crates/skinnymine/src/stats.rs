@@ -77,21 +77,22 @@ impl GrowPhaseStats {
 /// gathers, pattern-slot interning, and the σ-filter's dedup + support
 /// evaluation.
 ///
-/// Collection uses the same chained TSC/monotonic sampling as the grow
-/// phases.
+/// Each phase is timed with the monotonic clock around the whole pass,
+/// never per product.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JoinPhaseStats {
     /// The probe pass: looking up posting lists, testing row-pair overlap
-    /// and disjointness, and counting and recording each valid product
-    /// (memo hits included).
+    /// and disjointness, routing each valid product to its slot (orientation
+    /// test, composed key hash, one key-table probe, a new slot's record)
+    /// and counting and recording it.
     pub probe: Duration,
-    /// The gather pass: assembling and appending the product rows of the
-    /// slots whose σ bound reaches σ.
+    /// The gather pass: building the owned key and store of each slot whose
+    /// σ bound reaches σ and appending those slots' product rows.
     pub gather: Duration,
-    /// Routing products to pattern slots on pattern-pair memo misses (label
-    /// assembly, canonicalization, interning), folding the per-chunk slot
-    /// tables into one, and building the next level's carried occurrence
-    /// index.
+    /// Building a level's carried occurrence index and the join's table of
+    /// directed parent labels and piece hashes, and folding the per-chunk
+    /// slots into one (by their carried hashes; nothing when the join ran
+    /// as one chunk).
     pub intern: Duration,
     /// The σ-filter: per-pattern occurrence dedup plus the pruned support
     /// evaluation.

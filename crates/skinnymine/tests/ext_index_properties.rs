@@ -94,7 +94,7 @@ proptest! {
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
             let reference: Vec<Extension> =
                 grower.candidate_extensions_reference(&pattern, &mut scratch.ext).into_iter().collect();
-            scratch.ext.build(&pattern, &data, delta);
+            scratch.ext.build(&pattern, &data, delta, 0);
             let table = &scratch.ext.table;
             // same candidate set, same sorted order
             prop_assert_eq!(table.candidate_count(), reference.len());
@@ -138,6 +138,21 @@ proptest! {
                     }
                 }
             }
+            // a σ-aware build keeps exactly the candidates with at least σ
+            // supporting rows, in the same order with the same entries, and
+            // reports how many it dropped
+            for sigma in 2..4 {
+                let rows: Vec<_> = reference.iter().map(|e| pattern.extend_embeddings(&data, e)).collect();
+                let dropped = scratch.ext.build(&pattern, &data, delta, sigma);
+                let kept: Vec<_> = reference.iter().zip(&rows).filter(|(_, r)| r.len() >= sigma).collect();
+                prop_assert_eq!(dropped, reference.len() - kept.len());
+                let table = &scratch.ext.table;
+                prop_assert_eq!(table.candidate_count(), kept.len());
+                for (i, (ext, rescanned)) in kept.into_iter().enumerate() {
+                    prop_assert_eq!(table.extension(i), ext);
+                    prop_assert_eq!(&table.gather(i, &pattern.embeddings), rescanned);
+                }
+            }
         }
     }
 
@@ -154,7 +169,7 @@ proptest! {
         let mut batch = SupportBatch::new();
         let mut gathered = skinny_graph::OccurrenceStore::new(0);
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
-            scratch.ext.build(&pattern, &data, delta);
+            scratch.ext.build(&pattern, &data, delta, 0);
             let table = &scratch.ext.table;
             for measure in [SupportMeasure::MinimumImage, SupportMeasure::Transactions] {
                 batch.invalidate();
@@ -195,7 +210,7 @@ proptest! {
         let mut batch = SupportBatch::new();
         let mut gathered = skinny_graph::OccurrenceStore::new(0);
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
-            scratch.ext.build(&pattern, &data, delta);
+            scratch.ext.build(&pattern, &data, delta, 0);
             let table = &scratch.ext.table;
             for measure in [SupportMeasure::MinimumImage, SupportMeasure::Transactions] {
                 batch.invalidate();
@@ -247,7 +262,7 @@ proptest! {
         let grower = LevelGrow::new(MiningData::Snapshot(&data), &config);
         let mut scratch = GrowScratch::new();
         for pattern in sample_patterns(&g, &grower, delta, &mut scratch) {
-            scratch.ext.build(&pattern, &data, delta);
+            scratch.ext.build(&pattern, &data, delta, 0);
             let count = scratch.ext.table.candidate_count();
             let mut advances = 0usize;
             for i in 0..count {
@@ -292,7 +307,7 @@ proptest! {
                 }
                 // the refilter consumed the table; restore it for the next
                 // simulated advance of the same pass-start pattern
-                scratch.ext.build(&pattern, &data, delta);
+                scratch.ext.build(&pattern, &data, delta, 0);
             }
         }
     }

@@ -4,8 +4,8 @@
 //!   the same order with the same embedding rows at every thread count —
 //!   the chunk-order merge of the parallel joins must reproduce the serial
 //!   iteration exactly;
-//! * the **current kernels** (level-carried head index + pattern-pair
-//!   memo + mirror pruning + count-then-gather σ bound + pruned finalize)
+//! * the **current kernels** (level-carried head index + hashed product
+//!   slots + mirror pruning + count-then-gather σ bound + pruned finalize)
 //!   must agree with the retained reference hash-map joins level by level,
 //!   under both accepted support measures;
 //! * a **carried ladder** (`mine_range`, one arena set reused across the

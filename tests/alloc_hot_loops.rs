@@ -122,6 +122,23 @@ fn leaf_pairs_graph(copies: u32) -> LabeledGraph {
     LabeledGraph::from_unlabeled_edges(&labels, edges).unwrap()
 }
 
+/// One component `i`–centre–`j` for every leaf-label pair
+/// `1 <= i < j <= leaves`, the centre labeled 0: each centre-leaf edge
+/// pattern occurs `leaves − 1` times, and each of the `leaves · (leaves −
+/// 1) / 2` length-2 patterns exactly once.
+fn distinct_pairs_graph(leaves: u32) -> LabeledGraph {
+    let mut labels = Vec::new();
+    let mut edges = Vec::new();
+    for i in 1..=leaves {
+        for j in i + 1..=leaves {
+            let c = labels.len() as u32;
+            labels.extend([l(0), l(i), l(j)]);
+            edges.extend([(c, c + 1), (c, c + 2)]);
+        }
+    }
+    LabeledGraph::from_unlabeled_edges(&labels, edges).unwrap()
+}
+
 #[test]
 fn hot_loops_allocate_per_pattern_not_per_row() {
     // ---- Stage I concat: reject path ------------------------------------
@@ -182,6 +199,30 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
         dm.mine_exact_many_with_stats(&[2], &mut stats);
         assert_eq!(stats.join_rows_pruned, products, "every skipped product counts as a pruned row");
         assert_eq!(stats.join_products_rejected_sigma, 10, "every dead slot counts as a rejected product");
+    }
+
+    // ---- Stage I join: many distinct dead slots ------------------------
+    // hundreds of distinct product patterns, each one occurrence short of
+    // σ: a dead slot is a hash probe and a few words in flat arrays, so a
+    // warm join allocates a small constant number of times, never per slot
+    {
+        const LEAVES: u32 = 30;
+        let snapshot = CsrSnapshot::from_graph(&distinct_pairs_graph(LEAVES));
+        let dm = DiamMine::new(MiningData::Snapshot(&snapshot), 2, SupportMeasure::MinimumImage);
+        let len1 = dm.frequent_edges();
+        assert_eq!(len1.len(), LEAVES as usize, "every centre-leaf edge pattern is frequent");
+        let slots = u64::from(LEAVES * (LEAVES - 1) / 2);
+        let _warmup = dm.merge_to_length(&len1, 2);
+        let (dead_allocs, len2) = counted(|| dm.merge_to_length(&len1, 2));
+        assert!(len2.is_empty(), "every length-2 pattern occurs once, below σ = 2");
+        assert!(
+            dead_allocs < 80,
+            "a join with {slots} distinct dead slots allocated {dead_allocs} times — \
+             a slot below σ must not allocate"
+        );
+        let mut stats = skinnymine::MiningStats::default();
+        dm.mine_exact_many_with_stats(&[2], &mut stats);
+        assert_eq!(stats.join_products_rejected_sigma, slots, "every pattern is its own dead slot");
     }
 
     // ---- Stage I ladder level: warm arena rebuild is allocation-free ----
@@ -252,8 +293,8 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     let rows = pattern.embeddings.len() as u64;
     assert_eq!(rows, 200);
     let mut ext_scratch = ExtensionScratch::new();
-    ext_scratch.build(&pattern, &data, 2);
-    let (build_allocs, ()) = counted(|| ext_scratch.build(&pattern, &data, 2));
+    ext_scratch.build(&pattern, &data, 2, 0);
+    let (build_allocs, _) = counted(|| ext_scratch.build(&pattern, &data, 2, 0));
     assert_eq!(ext_scratch.table.candidate_count(), 1);
     assert_eq!(ext_scratch.table.support_upper_bound(0), rows as usize);
     assert!(
@@ -329,9 +370,9 @@ fn hot_loops_allocate_per_pattern_not_per_row() {
     // candidate's row expansion; with warm double buffers the rewrite must
     // not allocate (the engine refilters once per advance, deep in the hot
     // loop)
-    ext_scratch.build(&pattern, &data, 2);
+    ext_scratch.build(&pattern, &data, 2, 0);
     ext_scratch.refilter(0, pattern.embeddings.len());
-    ext_scratch.build(&pattern, &data, 2);
+    ext_scratch.build(&pattern, &data, 2, 0);
     let (refilter_allocs, ()) = counted(|| ext_scratch.refilter(0, pattern.embeddings.len()));
     assert_eq!(ext_scratch.table.candidate_count(), 1);
     assert!(
